@@ -18,7 +18,7 @@ import (
 // engine. With -serveaddr it dials an externally running rmaserve (the
 // nightly soak path: real TCP, durability on); without it, each mix
 // runs against a fresh in-process store behind a loopback listener
-// (lock-free reads + background rebalancing on) so CI gets a
+// (background rebalancing on) so CI gets a
 // deterministic fixture per mix. It lives in package main rather than
 // internal/exp because it needs the rma facade, which exp cannot
 // import (bench_test.go is an in-package rma test importing exp).
@@ -93,7 +93,7 @@ func runMix(p exp.Params, mix loadgen.Mix, skipPreload bool) (loadgen.Result, er
 		return loadgen.Run(opts, mix)
 	}
 
-	db, err := rma.NewSharded(8, rma.WithLockFreeReads(), rma.WithBackgroundRebalancing(-1))
+	db, err := rma.NewSharded(8, rma.WithBackgroundRebalancing(-1))
 	if err != nil {
 		return loadgen.Result{}, err
 	}

@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	rmaserve -addr :6380 -shards 8 -async -1 -lockfree -dur /var/lib/rma -wal
+//	rmaserve -addr :6380 -shards 8 -async -1 -dur /var/lib/rma -wal
 //
 // The server stops on SIGINT/SIGTERM or on a client SHUTDOWN command;
 // either way it drains connections, flushes the store's deferred
@@ -31,7 +31,6 @@ func main() {
 		addr     = flag.String("addr", ":6380", "listen address (host:port)")
 		shards   = flag.Int("shards", 8, "shard count (power of two)")
 		async    = flag.Int("async", 0, "background rebalancing workers (0 = off, <0 = one per CPU)")
-		lockfree = flag.Bool("lockfree", false, "serve point reads lock-free (seqlock + epoch reclamation)")
 		durDir   = flag.String("dur", "", "durability directory (empty = in-memory only)")
 		useWAL   = flag.Bool("wal", false, "write-ahead log: every acked write is durable before its reply (requires -dur)")
 		fsync    = flag.String("fsync", "always", "WAL fsync policy: always, everysec, or never")
@@ -42,9 +41,6 @@ func main() {
 	var opts []rma.Option
 	if *async != 0 {
 		opts = append(opts, rma.WithBackgroundRebalancing(*async))
-	}
-	if *lockfree {
-		opts = append(opts, rma.WithLockFreeReads())
 	}
 	if *durDir != "" {
 		opts = append(opts, rma.WithDurability(*durDir))
@@ -89,8 +85,8 @@ func main() {
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
 	done := make(chan error, 1)
 	go func() { done <- srv.ListenAndServe(*addr) }()
-	fmt.Fprintf(os.Stderr, "rmaserve: listening on %s (shards=%d async=%d lockfree=%v dur=%q wal=%v fsync=%s)\n",
-		*addr, *shards, *async, *lockfree, *durDir, *useWAL, *fsync)
+	fmt.Fprintf(os.Stderr, "rmaserve: listening on %s (shards=%d async=%d dur=%q wal=%v fsync=%s)\n",
+		*addr, *shards, *async, *durDir, *useWAL, *fsync)
 
 	var serveErr error
 	select {

@@ -195,59 +195,66 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Stats aggregates the engine's operation counters, exposed so the
-// benchmark harness can attribute costs the way the paper does (e.g.
-// "rebalances are responsible for between 2%% and 50%% of the cost of
-// insertions").
+// Stats is a snapshot of a structure's operation counters: what
+// rma.Array.Stats and rma.Sharded.Stats return (rma.Stats is an alias),
+// and what lets the benchmark harness attribute costs the way the paper
+// does (e.g. "rebalances are responsible for between 2%% and 50%% of the
+// cost of insertions"). The engine maintains the counters up to
+// CheckpointPages; the shard layer fills in the read-path and
+// write-ahead-log groups, which stay 0 on a single Array.
 type Stats struct {
+	// Lookups counts point reads that went through the engine's own read
+	// path. On a Sharded map optimistic reads bypass the engine (they are
+	// counted by LockFreeReads), so there Lookups counts only the reads
+	// that fell back to the shard lock.
 	Inserts, Deletes, Lookups uint64
 	Rebalances                uint64 // windows rebalanced (excluding resizes)
-	AdaptiveRebalances        uint64 // rebalances that used marked intervals
+	AdaptiveRebalances        uint64 // rebalances that used the Detector's marked intervals
 	RebalancedSegments        uint64 // total segments touched by rebalances
 	RebalancedElements        uint64 // total elements moved by rebalances
-	Resizes, Grows, Shrinks   uint64
-	ElementCopies             uint64 // element copy operations performed
-	PageSwaps                 uint64 // virtual page rewirings
+	Resizes, Grows, Shrinks   uint64 // capacity changes
+	ElementCopies             uint64 // element copy operations performed (two-pass copies twice)
+	PageSwaps                 uint64 // O(1) virtual page rewirings
 	SlotScans                 uint64 // slots covered by interleaved stream readers (linearity guard)
 	MaxWindowSegments         int    // largest window ever rebalanced
 	BulkLoads                 uint64
 	// DeferredWindows counts density violations a deferred-mode insert
-	// queued instead of repairing synchronously; MaintenanceRuns counts
-	// the maintenance passes that found a violation still standing and
-	// executed the deferred rebalance or grow.
+	// queued for the background rebalancer instead of repairing on the
+	// write path; MaintenanceRuns counts the maintenance passes that
+	// found a violation still standing and executed the deferred
+	// rebalance or resize. Both stay 0 without WithBackgroundRebalancing.
 	DeferredWindows uint64
 	MaintenanceRuns uint64
 	// AllocFailures counts storage-substrate allocation failures
-	// surfaced by rebalance/resize machinery (failure injection in
-	// tests; a real allocator would return them under memory pressure).
-	// The array stays consistent and serving after each one — the
-	// operation that hit the failure reports an error and the structure
-	// rolls back to its pre-operation state.
+	// surfaced as ErrAllocFailed by rebalance/resize machinery (failure
+	// injection in tests; a real allocator would return them under
+	// memory pressure). The structure stays consistent and serving after
+	// each one — the operation that hit the failure reports an error and
+	// the structure rolls back to its pre-operation state.
 	AllocFailures uint64
-	// Durability counters (zero unless AttachDurability): Checkpoints
-	// and CheckpointFailures count published and failed checkpoint
-	// attempts; CheckpointPages counts dirty pages persisted across all
-	// published checkpoints (the incremental-write economy: steady-state
+	// Durability counters (0 without WithDurability): Checkpoints and
+	// CheckpointFailures count published and failed checkpoint attempts;
+	// CheckpointPages counts dirty pages persisted across all published
+	// checkpoints (the incremental-write economy: steady-state
 	// checkpoints write only what changed).
 	Checkpoints        uint64
 	CheckpointFailures uint64
 	CheckpointPages    uint64
-	// Lock-free read-path counters (zero unless the shard layer enables
-	// seqlock reads; maintained there, merged into the shard-level
-	// Stats): LockFreeReads counts point reads served without the shard
-	// lock; ReadRetries counts seqlock attempts discarded by a version
-	// change or a torn view; ReadFallbacks counts reads that exhausted
-	// their retry budget and took the locked path; EpochAdvances counts
-	// successful vmem epoch-gate advances (retired-page reclamation);
-	// SnapshotBreaks counts cross-shard snapshot reads that lost
-	// version-vector consistency and degraded to per-shard semantics.
+	// Read-path counters of the sharded layer (0 on a single Array,
+	// which has no lock to elide): LockFreeReads counts point reads
+	// served without the shard lock; ReadRetries counts seqlock attempts
+	// discarded by a version change or a torn view; ReadFallbacks counts
+	// reads that exhausted their retry budget and took the shard lock;
+	// EpochAdvances counts successful vmem epoch-gate advances
+	// (retired-page reclamation); SnapshotBreaks counts cross-shard
+	// reads that lost version-vector consistency and degraded to
+	// per-shard semantics.
 	LockFreeReads  uint64
 	ReadRetries    uint64
 	ReadFallbacks  uint64
 	EpochAdvances  uint64
 	SnapshotBreaks uint64
-	// Write-ahead-log counters (zero unless the shard layer enables a
-	// WAL; maintained there, merged into the shard-level Stats).
+	// Write-ahead-log counters (0 without WithWAL).
 	// WALRecords/WALWaves/WALSyncs count staged records, commit waves,
 	// and fsyncs; the rotation/truncation pairs count segment lifecycle
 	// events; the *Failures counters count injected or real faults on
@@ -265,4 +272,45 @@ type Stats struct {
 	WALRotateFailures   uint64
 	WALTruncateFailures uint64
 	AutoCheckpoints     uint64
+}
+
+// Add folds o into s: every counter sums, MaxWindowSegments takes the
+// larger value. The shard layer aggregates its per-shard engines with it.
+func (s *Stats) Add(o Stats) {
+	s.Inserts += o.Inserts
+	s.Deletes += o.Deletes
+	s.Lookups += o.Lookups
+	s.Rebalances += o.Rebalances
+	s.AdaptiveRebalances += o.AdaptiveRebalances
+	s.RebalancedSegments += o.RebalancedSegments
+	s.RebalancedElements += o.RebalancedElements
+	s.Resizes += o.Resizes
+	s.Grows += o.Grows
+	s.Shrinks += o.Shrinks
+	s.ElementCopies += o.ElementCopies
+	s.PageSwaps += o.PageSwaps
+	s.SlotScans += o.SlotScans
+	s.MaxWindowSegments = max(s.MaxWindowSegments, o.MaxWindowSegments)
+	s.BulkLoads += o.BulkLoads
+	s.DeferredWindows += o.DeferredWindows
+	s.MaintenanceRuns += o.MaintenanceRuns
+	s.AllocFailures += o.AllocFailures
+	s.Checkpoints += o.Checkpoints
+	s.CheckpointFailures += o.CheckpointFailures
+	s.CheckpointPages += o.CheckpointPages
+	s.LockFreeReads += o.LockFreeReads
+	s.ReadRetries += o.ReadRetries
+	s.ReadFallbacks += o.ReadFallbacks
+	s.EpochAdvances += o.EpochAdvances
+	s.SnapshotBreaks += o.SnapshotBreaks
+	s.WALRecords += o.WALRecords
+	s.WALWaves += o.WALWaves
+	s.WALSyncs += o.WALSyncs
+	s.WALRotations += o.WALRotations
+	s.WALTruncations += o.WALTruncations
+	s.WALAppendFailures += o.WALAppendFailures
+	s.WALSyncFailures += o.WALSyncFailures
+	s.WALRotateFailures += o.WALRotateFailures
+	s.WALTruncateFailures += o.WALTruncateFailures
+	s.AutoCheckpoints += o.AutoCheckpoints
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -16,6 +17,34 @@ func testConfig() Config {
 	cfg.SegmentSlots = 8
 	cfg.PageSlots = 32
 	return cfg
+}
+
+// TestStatsAddCoversEveryField: Add must fold every counter, so a field
+// added to Stats without a line in Add fails here. Counters sum;
+// MaxWindowSegments takes the maximum.
+func TestStatsAddCoversEveryField(t *testing.T) {
+	var one, sum Stats
+	v := reflect.ValueOf(&one).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		if f := v.Field(i); f.CanUint() {
+			f.SetUint(1)
+		} else {
+			f.SetInt(1)
+		}
+	}
+	sum.Add(one)
+	sum.Add(one)
+	got := reflect.ValueOf(sum)
+	for i := 0; i < got.NumField(); i++ {
+		name := got.Type().Field(i).Name
+		if f := got.Field(i); f.CanUint() {
+			if f.Uint() != 2 {
+				t.Errorf("Add: %s = %d after adding 1 twice, want 2", name, f.Uint())
+			}
+		} else if f.Int() != 1 {
+			t.Errorf("Add: %s = %d after adding 1 twice, want the maximum 1", name, f.Int())
+		}
+	}
 }
 
 // configMatrix enumerates named engine configurations covering every

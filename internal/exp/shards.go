@@ -28,9 +28,11 @@ func Shards(p Params) []HotpathResult {
 	p.printf("# series\tlayout\trebal\tns/op\tallocs/op\telt.copies\tpage.swaps\n")
 
 	var results []HotpathResult
-	record := func(series string, ops int, ns, allocs float64, st core.Stats) {
+	// proto names what the measured operations synchronize on: the
+	// shard mutex (writes, scans) or the seqlock (point reads).
+	record := func(series, proto string, ops int, ns, allocs float64, st core.Stats) {
 		r := HotpathResult{
-			Series: series, Layout: "sharded", Rebalance: "mutex",
+			Series: series, Layout: "sharded", Rebalance: proto,
 			Ops: ops, NsPerOp: ns, AllocsPerOp: allocs,
 			ElementCopies: st.ElementCopies, PageSwaps: st.PageSwaps,
 		}
@@ -52,7 +54,7 @@ func Shards(p Params) []HotpathResult {
 			ns, allocs := measure(p.N, func() {
 				putConcurrent(m, p, g)
 			})
-			record(sprintf("put-g%d-s%d", g, k), p.N, ns, allocs, m.Stats())
+			record(sprintf("put-g%d-s%d", g, k), "mutex", p.N, ns, allocs, m.Stats())
 		}
 
 		// Batched puts (ApplyBatch: per-shard grouping + bulk runs).
@@ -60,7 +62,7 @@ func Shards(p Params) []HotpathResult {
 		ns, allocs := measure(p.N, func() {
 			batchPutConcurrent(m, p, 8, 1024)
 		})
-		record(sprintf("batchput-g8-s%d", k), p.N, ns, allocs, m.Stats())
+		record(sprintf("batchput-g8-s%d", k), "mutex", p.N, ns, allocs, m.Stats())
 
 		// Concurrent point lookups against the batch-loaded map.
 		nGets := p.N / 2
@@ -71,7 +73,7 @@ func Shards(p Params) []HotpathResult {
 		st := m.Stats()
 		st.ElementCopies -= base.ElementCopies
 		st.PageSwaps -= base.PageSwaps
-		record(sprintf("get-g8-s%d", k), nGets, ns, allocs, st)
+		record(sprintf("get-g8-s%d", k), "seqlock", nGets, ns, allocs, st)
 
 		// Merged cross-shard scan (single caller, locks one shard at a
 		// time).
@@ -91,69 +93,57 @@ func Shards(p Params) []HotpathResult {
 		st = m.Stats()
 		st.ElementCopies -= base.ElementCopies
 		st.PageSwaps -= base.PageSwaps
-		record(sprintf("scan-merge-s%d", k), scanned, ns, allocs, st)
+		record(sprintf("scan-merge-s%d", k), "mutex", scanned, ns, allocs, st)
 
 		// Racing reads: 8 readers against 2 churning writers on the same
-		// loaded map shape, once through the mutex path and once through
-		// the seqlock path (EnableLockFreeReads) — the rebal column names
-		// the read protocol, the seqlock row carries the retry/fallback
-		// accounting. This is the contention corner the lock-free read
-		// mode exists for; on one hardware thread the two rows converge
-		// (readers and writers time-slice), on multicore the seqlock row
-		// is the one that keeps scaling.
-		for _, lf := range []bool{false, true} {
-			m := newShardMap(p, k)
-			rebal := "mutex"
-			if lf {
-				m.EnableLockFreeReads()
-				rebal = "seqlock"
-			}
-			batchPutConcurrent(m, p, 8, 1024)
-			nGets := p.N / 2
-			base := m.Stats()
-			stop := make(chan struct{})
-			var churn sync.WaitGroup
-			for w := 0; w < 2; w++ {
-				churn.Add(1)
-				go func(w int) {
-					defer churn.Done()
-					gen := workload.NewUniform(p.Seed+uint64(w)*977+7, 0)
-					for {
-						select {
-						case <-stop:
-							return
-						default:
-						}
-						k := gen.Next()
-						if err := m.Insert(k, workload.ValueFor(k)); err != nil {
-							panic(err)
-						}
-						if _, err := m.Delete(k); err != nil {
-							panic(err)
-						}
+		// loaded map shape — the contention corner the seqlock read
+		// route exists for. The row carries the retry/fallback
+		// accounting.
+		m = newShardMap(p, k)
+		batchPutConcurrent(m, p, 8, 1024)
+		base = m.Stats()
+		stop := make(chan struct{})
+		var churn sync.WaitGroup
+		for w := 0; w < 2; w++ {
+			churn.Add(1)
+			go func(w int) {
+				defer churn.Done()
+				gen := workload.NewUniform(p.Seed+uint64(w)*977+7, 0)
+				for {
+					select {
+					case <-stop:
+						return
+					default:
 					}
-				}(w)
-			}
-			ns, allocs := measure(nGets, func() {
-				getConcurrent(m, p, 8, nGets)
-			})
-			close(stop)
-			churn.Wait()
-			st := m.Stats()
-			st.ElementCopies -= base.ElementCopies
-			st.PageSwaps -= base.PageSwaps
-			r := HotpathResult{
-				Series: sprintf("getrace-g8-s%d", k), Layout: "sharded", Rebalance: rebal,
-				Ops: nGets, NsPerOp: ns, AllocsPerOp: allocs,
-				ElementCopies: st.ElementCopies, PageSwaps: st.PageSwaps,
-				LockFreeReads: st.LockFreeReads, ReadRetries: st.ReadRetries,
-				ReadFallbacks: st.ReadFallbacks,
-			}
-			results = append(results, r)
-			p.printf("%s\t%s\t%s\t%.1f\t%.3f\t%d\t%d\tlf=%d retry=%d fb=%d\n",
-				r.Series, r.Layout, r.Rebalance, ns, allocs, st.ElementCopies,
-				st.PageSwaps, st.LockFreeReads, st.ReadRetries, st.ReadFallbacks)
+					k := gen.Next()
+					if err := m.Insert(k, workload.ValueFor(k)); err != nil {
+						panic(err)
+					}
+					if _, err := m.Delete(k); err != nil {
+						panic(err)
+					}
+				}
+			}(w)
 		}
+		ns, allocs = measure(nGets, func() {
+			getConcurrent(m, p, 8, nGets)
+		})
+		close(stop)
+		churn.Wait()
+		st = m.Stats()
+		st.ElementCopies -= base.ElementCopies
+		st.PageSwaps -= base.PageSwaps
+		r := HotpathResult{
+			Series: sprintf("getrace-g8-s%d", k), Layout: "sharded", Rebalance: "seqlock",
+			Ops: nGets, NsPerOp: ns, AllocsPerOp: allocs,
+			ElementCopies: st.ElementCopies, PageSwaps: st.PageSwaps,
+			LockFreeReads: st.LockFreeReads, ReadRetries: st.ReadRetries,
+			ReadFallbacks: st.ReadFallbacks,
+		}
+		results = append(results, r)
+		p.printf("%s\t%s\t%s\t%.1f\t%.3f\t%d\t%d\tlf=%d retry=%d fb=%d\n",
+			r.Series, r.Layout, r.Rebalance, ns, allocs, st.ElementCopies,
+			st.PageSwaps, st.LockFreeReads, st.ReadRetries, st.ReadFallbacks)
 	}
 	return results
 }

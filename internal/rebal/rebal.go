@@ -48,6 +48,12 @@ type Source interface {
 	// processed. Errors are storage-allocation failures; the shard
 	// stays consistent and the entry is consumed.
 	MaintainShard(i int) (bool, error)
+	// Quiesce reclaims whatever the source retired behind its
+	// epoch-protected readers (shard.Map drains its retired-page limbo).
+	// Workers call it after a clean sweep, before parking, so
+	// reclamation keeps pace even when no writer shows up to advance
+	// the epoch.
+	Quiesce()
 }
 
 // Pool runs background maintenance workers over a Source. Create with
@@ -204,13 +210,8 @@ func (p *Pool) run() {
 			continue // finish sweeping the other shards before parking
 		}
 		// Clean sweep: nothing left to maintain, so this is a natural
-		// quiesce point. Sources running epoch-protected readers
-		// (shard.Map with lock-free reads) drain their retired-page
-		// limbo here, so reclamation keeps pace even when no writer
-		// shows up to advance the epoch.
-		if q, ok := p.src.(interface{ Quiesce() }); ok {
-			q.Quiesce()
-		}
+		// quiesce point.
+		p.src.Quiesce()
 		select {
 		case <-p.wake:
 			idle = 0

@@ -36,6 +36,9 @@ func (f *fakeSource) MaintainShard(i int) (bool, error) {
 	return true, nil
 }
 
+// Quiesce: the fake retires nothing behind readers.
+func (f *fakeSource) Quiesce() {}
+
 func (f *fakeSource) add(i, n int) {
 	f.mu.Lock()
 	f.backlog[i] += n

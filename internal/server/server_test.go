@@ -495,7 +495,7 @@ func TestServeDifferential(t *testing.T) {
 // server — each on a private key stripe it checks differentially, plus
 // cross-stripe scanners — under the race detector in CI's -race lane.
 func TestServeDifferentialTorture(t *testing.T) {
-	_, dial := newTestServer(t, Config{}, rma.WithLockFreeReads(), rma.WithBackgroundRebalancing(2))
+	_, dial := newTestServer(t, Config{}, rma.WithBackgroundRebalancing(2))
 	const clients = 4
 	ops := 4000
 	if testing.Short() {

@@ -429,7 +429,7 @@ func OpenMap(dir string, cfg core.Config) (*Map, error) {
 		if err != nil {
 			return fail(fmt.Errorf("shard %d: %w", i, err))
 		}
-		m.shards[i].a = a
+		m.shards[i].install(a)
 		d.keep[i] = epochs[i]
 	}
 	m.dur = d

@@ -8,10 +8,11 @@ import (
 
 // Batched reads: the lookup mirror of ApplyBatch. A batch of point
 // probes is grouped per shard in one stable counting-sort pass, then
-// each shard is locked exactly once and its group resolved through the
-// engine's FindBatch — which sorts the group and amortizes index
-// descents across adjacent probes — before the grouped results are
-// scattered back into the caller's order. Like Find, a batched read
+// each shard's group is resolved in one optimistic read section — or,
+// once its retries are spent, under one lock through the engine's
+// FindBatch, which sorts the group and amortizes index descents across
+// adjacent probes — before the grouped results are scattered back into
+// the caller's order. Like Find, a batched read
 // does not flush deferred rebalance work: point probes are exact on a
 // locally-spread shard (only ordered snapshots need the flush; see
 // CONCURRENCY.md).
@@ -48,7 +49,7 @@ func (g *getScratch) size(nKeys, k int) {
 
 // GetBatch resolves a batch of point lookups: out is grown to
 // len(keys) (reused when its capacity suffices) and out[i] answers
-// keys[i]. Each shard is locked exactly once; like every multi-shard
+// keys[i]. Each shard is visited exactly once; like every multi-shard
 // operation the batch is consistent per shard, not across shards —
 // concurrent writers can interleave between shard visits.
 func (m *Map) GetBatch(keys []int64, out []core.Lookup) []core.Lookup {
@@ -80,16 +81,13 @@ func (m *Map) GetBatch(keys []int64, out []core.Lookup) []core.Lookup {
 		g.next[h]++
 	}
 
-	// One lock and one engine-level batch per non-empty shard group —
-	// unless lock-free reads are on, in which case each group first
-	// attempts the seqlock path (all-or-nothing per shard, preserving
-	// the per-shard atomicity contract) and only locks on fallback.
+	// Each non-empty shard group first attempts the seqlock path
+	// (all-or-nothing per shard, preserving the per-shard atomicity
+	// contract); a group that exhausts its retries takes one lock and
+	// one engine-level batch.
 	for j := 0; j < k; j++ {
 		lo, hi := g.counts[j], g.counts[j+1]
-		if lo == hi {
-			continue
-		}
-		if m.lockFree && m.seqFindGroup(j, g.gkeys[lo:hi], g.gout[lo:hi]) {
+		if lo == hi || m.seqFindGroup(j, g.gkeys[lo:hi], g.gout[lo:hi]) {
 			continue
 		}
 		s := &m.shards[j]

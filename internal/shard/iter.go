@@ -1,35 +1,39 @@
 package shard
 
-import "iter"
+import (
+	"iter"
+
+	"rma/internal/core"
+)
 
 // Merged iteration: shards own disjoint, contiguous key ranges in
 // ascending shard order, so a globally ordered traversal is the
 // concatenation of per-shard traversals — no heap merge, O(1) walker
 // state per shard, one shard lock held at a time. The yielded sequence
 // is always globally sorted; under concurrent writers each shard's
-// portion is a consistent snapshot, but shards visited later may
-// reflect writes that happened after earlier shards were read.
+// portion is a consistent snapshot, and the whole is one consistent cut
+// unless a writer slipped between shard visits after elements had
+// already streamed (see walk in snapshot.go, which every traversal here
+// goes through).
 //
 // The yield callback runs with the current shard's lock held: it must
 // not call back into the same Map.
 
 // IterAscend returns a lazy ascending iterator over elements with
-// lo <= key <= hi, merged across shards.
+// lo <= key <= hi, merged across shards. The cut's verdict is counted
+// in SnapshotBreaks but not surfaced through the iter.Seq2 shape — use
+// SnapshotScanRange when the caller needs it.
 func (m *Map) IterAscend(lo, hi int64) iter.Seq2[int64, int64] {
 	return func(yield func(int64, int64) bool) {
-		if lo > hi {
-			return
-		}
-		if m.lockFree {
-			m.snapshotAscend(lo, hi, yield)
-			return
-		}
-		jHi := m.shardOf(hi)
-		for j := m.shardOf(lo); j <= jHi; j++ {
-			if !m.yieldAscend(j, lo, hi, yield) {
-				return
+		m.walk(lo, hi, false, func(a *core.Array) (yielded, stopped bool) {
+			for k, v := range a.IterAscend(lo, hi) {
+				if !yield(k, v) {
+					return true, true
+				}
+				yielded = true
 			}
-		}
+			return yielded, false
+		})
 	}
 }
 
@@ -37,19 +41,15 @@ func (m *Map) IterAscend(lo, hi int64) iter.Seq2[int64, int64] {
 // lo <= key <= hi, walking shards right to left.
 func (m *Map) IterDescend(lo, hi int64) iter.Seq2[int64, int64] {
 	return func(yield func(int64, int64) bool) {
-		if lo > hi {
-			return
-		}
-		if m.lockFree {
-			m.snapshotDescend(lo, hi, yield)
-			return
-		}
-		jLo := m.shardOf(lo)
-		for j := m.shardOf(hi); j >= jLo; j-- {
-			if !m.yieldDescend(j, lo, hi, yield) {
-				return
+		m.walk(lo, hi, true, func(a *core.Array) (yielded, stopped bool) {
+			for k, v := range a.IterDescend(lo, hi) {
+				if !yield(k, v) {
+					return true, true
+				}
+				yielded = true
 			}
-		}
+			return yielded, false
+		})
 	}
 }
 
@@ -73,62 +73,11 @@ func flushDeferred(s *cell) error {
 	return err
 }
 
-// yieldAscend drives shard j's portion of an ascending traversal under
-// the shard's lock; it reports false when the consumer stopped early.
-func (m *Map) yieldAscend(j int, lo, hi int64, yield func(int64, int64) bool) bool {
-	s := &m.shards[j]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	flushDeferred(s)
-	for k, v := range s.a.IterAscend(lo, hi) {
-		if !yield(k, v) {
-			return false
-		}
-	}
-	return true
-}
-
-func (m *Map) yieldDescend(j int, lo, hi int64, yield func(int64, int64) bool) bool {
-	s := &m.shards[j]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	flushDeferred(s)
-	for k, v := range s.a.IterDescend(lo, hi) {
-		if !yield(k, v) {
-			return false
-		}
-	}
-	return true
-}
-
 // ScanRange visits every element with lo <= key <= hi in key order via
-// the per-shard callback scans (dense-run tight loops).
+// the per-shard callback scans (dense-run tight loops): SnapshotScanRange
+// with the verdict dropped.
 func (m *Map) ScanRange(lo, hi int64, visit func(key, val int64) bool) {
-	if lo > hi {
-		return
-	}
-	if m.lockFree {
-		m.SnapshotScanRange(lo, hi, visit)
-		return
-	}
-	jHi := m.shardOf(hi)
-	for j := m.shardOf(lo); j <= jHi; j++ {
-		s := &m.shards[j]
-		s.mu.Lock()
-		flushDeferred(s)
-		stopped := false
-		s.a.ScanRange(lo, hi, func(k, v int64) bool {
-			if !visit(k, v) {
-				stopped = true
-				return false
-			}
-			return true
-		})
-		s.mu.Unlock()
-		if stopped {
-			return
-		}
-	}
+	m.SnapshotScanRange(lo, hi, visit)
 }
 
 // Scan visits every element in key order.

@@ -2,7 +2,7 @@ package shard
 
 import "rma/internal/core"
 
-// The seqlock read path (CONCURRENCY.md, "Lock-free reads").
+// The seqlock read path (CONCURRENCY.md, "The read contract").
 //
 // Writers bump the shard's version word to odd before mutating and back
 // to even after (beginWrite/endWrite, always under the shard mutex). A
@@ -10,8 +10,8 @@ import "rma/internal/core"
 // optimistically through the engine's published view, and accepts the
 // result only if the version is unchanged — otherwise it discards and
 // retries. After seqlockAttempts failed attempts the caller falls back
-// to the locked path, so a write-hot shard degrades to today's behavior
-// instead of live-locking readers.
+// to the shard lock, so a write-hot shard serializes its readers behind
+// the writer instead of live-locking them.
 //
 // Under the race detector this formal data race is made literal-race-
 // free: readLock/readUnlock are the shard mutex in race builds and
@@ -44,14 +44,14 @@ func (m *Map) seqFind(j int, key int64) (int64, bool, bool) {
 			s.readUnlock()
 			if valid && s.ver.Load() == v1 {
 				s.gate.Exit(p)
-				m.lockFreeReads.Add(1)
+				s.optimisticReads.Add(1)
 				return val, ok, true
 			}
 		}
 		s.gate.Exit(p)
-		m.readRetries.Add(1)
+		s.readRetries.Add(1)
 	}
-	m.readFallbacks.Add(1)
+	s.readFallbacks.Add(1)
 	return 0, false, false
 }
 
@@ -82,14 +82,14 @@ func (m *Map) seqFindGroup(j int, keys []int64, out []core.Lookup) bool {
 			s.readUnlock()
 			if valid && s.ver.Load() == v1 {
 				s.gate.Exit(p)
-				m.lockFreeReads.Add(1)
+				s.optimisticReads.Add(1)
 				return true
 			}
 		}
 		s.gate.Exit(p)
-		m.readRetries.Add(1)
+		s.readRetries.Add(1)
 	}
-	m.readFallbacks.Add(1)
+	s.readFallbacks.Add(1)
 	return false
 }
 
@@ -108,14 +108,14 @@ func (m *Map) seqFloor(j int, x int64) (int64, int64, bool, bool) {
 			s.readUnlock()
 			if valid && s.ver.Load() == v1 {
 				s.gate.Exit(p)
-				m.lockFreeReads.Add(1)
+				s.optimisticReads.Add(1)
 				return k, val, ok, true
 			}
 		}
 		s.gate.Exit(p)
-		m.readRetries.Add(1)
+		s.readRetries.Add(1)
 	}
-	m.readFallbacks.Add(1)
+	s.readFallbacks.Add(1)
 	return 0, 0, false, false
 }
 
@@ -134,13 +134,13 @@ func (m *Map) seqCeiling(j int, x int64) (int64, int64, bool, bool) {
 			s.readUnlock()
 			if valid && s.ver.Load() == v1 {
 				s.gate.Exit(p)
-				m.lockFreeReads.Add(1)
+				s.optimisticReads.Add(1)
 				return k, val, ok, true
 			}
 		}
 		s.gate.Exit(p)
-		m.readRetries.Add(1)
+		s.readRetries.Add(1)
 	}
-	m.readFallbacks.Add(1)
+	s.readFallbacks.Add(1)
 	return 0, 0, false, false
 }

@@ -18,7 +18,8 @@
 //     operations visit shards in ascending index order.
 //   - Shard locks are exclusive even for reads: the engine's "read"
 //     paths mutate internal state (operation counters, walker scratch),
-//     so they cannot share a shard.
+//     so they cannot share a shard. Point reads avoid the lock instead
+//     of sharing it (below).
 //   - Single-shard point operations (Insert, Delete, Find, Contains)
 //     are linearizable. Every operation that may visit more than one
 //     shard — iterators, Min/Max, Floor/Ceiling, Rank, Select,
@@ -31,16 +32,16 @@
 //   - Iterator and scan callbacks run while the current shard's lock is
 //     held and must not call back into the same Map.
 //
-// Lock-free reads (EnableLockFreeReads) relax the second bullet for the
-// point-read fast path only: Find/Contains/Floor/Ceiling/GetBatch first
-// attempt a seqlock-validated optimistic read against the engine's
-// published read view (core.ReadFind and friends mutate nothing), and
-// fall back to the locked path after a bounded number of retries. Writes
-// bump a per-shard version word around every reader-visible mutation;
-// retired vmem pages pass through an epoch gate so an in-flight
-// optimistic reader can never observe a recycled page. Cross-shard scans
-// additionally capture a per-shard version vector and report whether the
-// whole traversal observed a single consistent cut (see snapshot.go).
+// Point reads — Find/Contains/Floor/Ceiling/GetBatch — first attempt a
+// seqlock-validated optimistic read against the engine's published read
+// view (core.ReadFind and friends mutate nothing), and take the shard
+// lock only after a bounded number of lost races (see seqlock.go).
+// Writes bump a per-shard version word around every reader-visible
+// mutation; retired vmem pages pass through an epoch gate so an
+// in-flight optimistic reader can never observe a recycled page.
+// Cross-shard scans additionally capture a per-shard version vector and
+// report whether the whole traversal observed a single consistent cut
+// (see snapshot.go).
 package shard
 
 import (
@@ -59,17 +60,17 @@ const (
 	maxKey = 1<<63 - 1
 )
 
-// cell is one shard: a lock and its array, padded so that neighbouring
-// shard locks do not share a cache line under concurrent traffic.
+// cell is one shard: a lock and its array, padded to whole cache lines
+// so that neighbouring shards' locks and version words never share one
+// under concurrent traffic (the size is pinned by TestCellPadding).
 //
 // ver is the shard's seqlock word: even when quiescent, odd while a
 // writer is mutating reader-visible state. Writers bump it twice around
 // every mutation (beginWrite/endWrite, under mu); optimistic readers
 // capture an even value before reading and revalidate after. gate is
-// the shard's vmem epoch gate (nil until EnableLockFreeReads): readers
-// pin an epoch for the duration of one optimistic attempt, and pages
-// retired by rebalances wait in the gate's limbo until no reader can
-// still hold a reference.
+// the shard's vmem epoch gate: readers pin an epoch for the duration of
+// one optimistic attempt, and pages retired by rebalances wait in the
+// gate's limbo until no reader can still hold a reference.
 type cell struct {
 	mu   sync.Mutex
 	a    *core.Array
@@ -79,7 +80,27 @@ type cell struct {
 	// the array): point writes encode into it so the logged put path
 	// allocates nothing.
 	wop [1]wal.Op
-	_   [64 - 32]byte
+	_   [64 - 56]byte
+
+	// Read-path counters, summed into Stats. Optimistic readers bump
+	// them outside the lock, so they sit on their own cache line: a
+	// reader's count must not invalidate the line its neighbours
+	// validate ver on.
+	optimisticReads atomic.Uint64
+	readRetries     atomic.Uint64
+	readFallbacks   atomic.Uint64
+	_               [64 - 24]byte
+}
+
+// install gives the shard its array and a fresh epoch gate, routing the
+// array's page retirement through the gate. Runs while the map is being
+// built or recovered, before it is shared.
+//
+//rma:init
+func (s *cell) install(a *core.Array) {
+	s.a = a
+	s.gate = vmem.NewEpochGate()
+	a.AttachEpochGate(s.gate)
 }
 
 // beginWrite/endWrite bracket a reader-visible mutation: ver goes odd,
@@ -92,7 +113,7 @@ func (s *cell) endWrite()   { s.ver.Add(1) }
 // waiting in limbo. Must run under s.mu — the gate's limbo list is
 // guarded by the owning shard's lock.
 func (s *cell) advanceEpoch() {
-	if s.gate != nil && s.gate.LimboPages() > 0 {
+	if s.gate.LimboPages() > 0 {
 		s.gate.TryAdvance()
 	}
 }
@@ -128,16 +149,8 @@ type Map struct {
 	walPolicy       WALPolicy
 	autoCheckpoints atomic.Uint64
 
-	// lockFree enables the seqlock read path. Set once by
-	// EnableLockFreeReads before the map is shared (like seps), hence
-	// read without synchronization.
-	lockFree bool
-
-	// Lock-free read-path counters, merged into Stats. Atomics because
-	// readers touch them outside any shard lock.
-	lockFreeReads  atomic.Uint64
-	readRetries    atomic.Uint64
-	readFallbacks  atomic.Uint64
+	// snapshotBreaks counts cross-shard reads that settled for a torn
+	// cut (see snapshot.go); merged into Stats.
 	snapshotBreaks atomic.Uint64
 }
 
@@ -164,7 +177,7 @@ func New(cfg core.Config, seps []int64) (*Map, error) {
 		if err != nil {
 			return nil, err
 		}
-		m.shards[i].a = a
+		m.shards[i].install(a)
 	}
 	return m, nil
 }
@@ -408,10 +421,8 @@ func (m *Map) Delete(key int64) (bool, error) {
 // Find returns a value stored under key.
 func (m *Map) Find(key int64) (int64, bool) {
 	j := m.shardOf(key)
-	if m.lockFree {
-		if v, ok, done := m.seqFind(j, key); done {
-			return v, ok
-		}
+	if v, ok, done := m.seqFind(j, key); done {
+		return v, ok
 	}
 	s := &m.shards[j]
 	s.mu.Lock()
@@ -422,14 +433,7 @@ func (m *Map) Find(key int64) (int64, bool) {
 
 // Contains reports whether key is stored.
 func (m *Map) Contains(key int64) bool {
-	if m.lockFree {
-		_, ok := m.Find(key)
-		return ok
-	}
-	s := &m.shards[m.shardOf(key)]
-	s.mu.Lock()
-	ok := s.a.Contains(key)
-	s.mu.Unlock()
+	_, ok := m.Find(key)
 	return ok
 }
 
@@ -463,13 +467,11 @@ func (m *Map) Max() (int64, bool) {
 	return 0, false
 }
 
-// shardFloor probes shard i for the greatest element with key <= x,
-// lock-free first when enabled, locked otherwise.
+// shardFloor probes shard i for the greatest element with key <= x:
+// optimistically first, under the lock once the retries are spent.
 func (m *Map) shardFloor(i int, x int64) (key, val int64, ok bool) {
-	if m.lockFree {
-		if k, v, ok, done := m.seqFloor(i, x); done {
-			return k, v, ok
-		}
+	if k, v, ok, done := m.seqFloor(i, x); done {
+		return k, v, ok
 	}
 	s := &m.shards[i]
 	s.mu.Lock()
@@ -480,10 +482,8 @@ func (m *Map) shardFloor(i int, x int64) (key, val int64, ok bool) {
 
 // shardCeiling probes shard i for the smallest element with key >= x.
 func (m *Map) shardCeiling(i int, x int64) (key, val int64, ok bool) {
-	if m.lockFree {
-		if k, v, ok, done := m.seqCeiling(i, x); done {
-			return k, v, ok
-		}
+	if k, v, ok, done := m.seqCeiling(i, x); done {
+		return k, v, ok
 	}
 	s := &m.shards[i]
 	s.mu.Lock()
@@ -522,32 +522,6 @@ func (m *Map) Ceiling(x int64) (key, val int64, ok bool) {
 }
 
 // --- order statistics ---------------------------------------------------------
-
-// Rank returns the number of stored elements with key < x: the sizes of
-// the shards left of the owning shard plus the in-shard rank. Each shard
-// is read under its own lock; under concurrent writes the sum is a
-// consistent-per-shard snapshot, not a global one — unless lock-free
-// reads are enabled, in which case the sum is retried against the
-// per-shard version vector until all contributing shards agree on one
-// cut (see snapshot.go).
-func (m *Map) Rank(x int64) int {
-	if m.lockFree {
-		return m.snapshotRank(x)
-	}
-	j := m.shardOf(x)
-	r := 0
-	for i := 0; i < j; i++ {
-		s := &m.shards[i]
-		s.mu.Lock()
-		r += s.a.Size()
-		s.mu.Unlock()
-	}
-	s := &m.shards[j]
-	s.mu.Lock()
-	r += s.a.Rank(x)
-	s.mu.Unlock()
-	return r
-}
 
 // Select returns the i-th smallest element (0-based), walking shards
 // left to right until the index falls inside one.
@@ -639,43 +613,13 @@ func (m *Map) Stats() core.Stats {
 	for i := range m.shards {
 		s := &m.shards[i]
 		s.mu.Lock()
-		st := s.a.Stats()
-		s.mu.Unlock()
-		t.Inserts += st.Inserts
-		t.Deletes += st.Deletes
-		t.Lookups += st.Lookups
-		t.Rebalances += st.Rebalances
-		t.AdaptiveRebalances += st.AdaptiveRebalances
-		t.RebalancedSegments += st.RebalancedSegments
-		t.RebalancedElements += st.RebalancedElements
-		t.Resizes += st.Resizes
-		t.Grows += st.Grows
-		t.Shrinks += st.Shrinks
-		t.ElementCopies += st.ElementCopies
-		t.PageSwaps += st.PageSwaps
-		t.SlotScans += st.SlotScans
-		t.BulkLoads += st.BulkLoads
-		t.DeferredWindows += st.DeferredWindows
-		t.MaintenanceRuns += st.MaintenanceRuns
-		t.AllocFailures += st.AllocFailures
-		t.Checkpoints += st.Checkpoints
-		t.CheckpointFailures += st.CheckpointFailures
-		t.CheckpointPages += st.CheckpointPages
-		if st.MaxWindowSegments > t.MaxWindowSegments {
-			t.MaxWindowSegments = st.MaxWindowSegments
-		}
-	}
-	for i := range m.shards {
-		s := &m.shards[i]
-		s.mu.Lock()
-		if s.gate != nil {
-			t.EpochAdvances += s.gate.Advances()
-		}
+		t.Add(s.a.Stats())
+		t.EpochAdvances += s.gate.Advances()
+		t.LockFreeReads += s.optimisticReads.Load()
+		t.ReadRetries += s.readRetries.Load()
+		t.ReadFallbacks += s.readFallbacks.Load()
 		s.mu.Unlock()
 	}
-	t.LockFreeReads = m.lockFreeReads.Load()
-	t.ReadRetries = m.readRetries.Load()
-	t.ReadFallbacks = m.readFallbacks.Load()
 	t.SnapshotBreaks = m.snapshotBreaks.Load()
 	if m.wal != nil {
 		ws := m.wal.Stats()
@@ -693,38 +637,18 @@ func (m *Map) Stats() core.Stats {
 	return t
 }
 
-// --- lock-free reads ----------------------------------------------------------
-
-// EnableLockFreeReads switches the map's point-read fast path to the
-// seqlock protocol (see seqlock.go) and attaches a vmem epoch gate to
-// every shard so rebalance-retired pages are reclaimed only after all
-// optimistic readers have moved on. Must be called before the map is
-// shared across goroutines (the facade calls it at construction), after
-// EnableDurability/OpenMap when durability is in play — the gate routes
-// page retirement, so it must see the final vmem spaces.
-func (m *Map) EnableLockFreeReads() {
-	for i := range m.shards {
-		s := &m.shards[i]
-		s.mu.Lock()
-		g := vmem.NewEpochGate()
-		s.gate = g
-		s.a.AttachEpochGate(g)
-		s.mu.Unlock()
-	}
-	m.lockFree = true
-}
-
-// LockFreeReads reports whether the seqlock read path is enabled.
-func (m *Map) LockFreeReads() bool { return m.lockFree }
+// EnableLockFreeReads does nothing: optimistic reads are the only read
+// route.
+//
+// Deprecated: always on. Kept only until the benchmark's shard.Map rung
+// (bench/ladder.go) stops calling it.
+func (m *Map) EnableLockFreeReads() {}
 
 // Quiesce advances every shard's epoch gate as far as reader occupancy
 // allows, draining limbo pages back to the spare pools. internal/rebal
 // calls it before parking its workers; tests call it to assert
 // reclamation progress.
 func (m *Map) Quiesce() {
-	if !m.lockFree {
-		return
-	}
 	for i := range m.shards {
 		s := &m.shards[i]
 		s.mu.Lock()

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"reflect"
 	"sort"
 	"testing"
 
@@ -15,6 +16,20 @@ func testConfig() core.Config {
 	cfg.SegmentSlots = 16
 	cfg.PageSlots = 64
 	return cfg
+}
+
+// TestCellPadding pins the shard cell's layout: whole cache lines, so
+// neighbouring shards' locks and version words never share one, and the
+// reader-bumped counters off the line that holds the lock and version.
+func TestCellPadding(t *testing.T) {
+	typ := reflect.TypeOf((*cell)(nil)).Elem()
+	if typ.Size()%64 != 0 {
+		t.Errorf("cell is %d bytes, want a multiple of 64", typ.Size())
+	}
+	f, _ := typ.FieldByName("optimisticReads")
+	if f.Offset%64 != 0 {
+		t.Errorf("cell.optimisticReads at offset %d, want the start of a cache line", f.Offset)
+	}
 }
 
 func mustNew(t *testing.T, k int, seps []int64) *Map {

@@ -4,13 +4,15 @@ import (
 	"runtime"
 	"sync"
 	"time"
+
+	"rma/internal/core"
 )
 
-// Cross-shard snapshot reads (lock-free mode).
+// Cross-shard snapshot reads.
 //
 // A multi-shard traversal holds one shard lock at a time, so by itself
 // it only guarantees per-shard atomicity: writers can slip between
-// shard visits. In lock-free mode every reader-visible write bumps the
+// shard visits. Every reader-visible write bumps the
 // owning shard's seqlock version (shard.go), which makes consistency
 // checkable: record each shard's version at its visit, and before
 // reading any later shard revalidate that every previously visited
@@ -50,19 +52,73 @@ func getVec(n int) *snapVec {
 	return sv
 }
 
-// versionsMatch reports whether shards jLo..jLo+len(vec)-1 still carry
-// the versions recorded in vec. Control-word reads only — safe without
-// any shard lock.
+// versionsMatch reports whether the len(vec) shards first, first+step,
+// ... still carry the versions recorded in vec. Control-word reads only
+// — safe without any shard lock.
 //
 //rma:noalloc
 //rma:seqlock
-func (m *Map) versionsMatch(vec []uint64, jLo int) bool {
+func (m *Map) versionsMatch(vec []uint64, first, step int) bool {
 	for i := range vec {
-		if m.shards[jLo+i].ver.Load() != vec[i] {
+		if m.shards[first+i*step].ver.Load() != vec[i] {
 			return false
 		}
 	}
 	return true
+}
+
+// walk is the one cross-shard traversal: it visits the shards owning
+// [lo, hi] in ascending order (descending: right to left), each under
+// its own lock with its deferred backlog flushed, and reports whether
+// the whole traversal observed one consistent cut. visit streams one
+// shard's portion to the consumer and reports whether it yielded
+// anything and whether the consumer stopped the traversal.
+//
+// Before each shard the versions recorded for the shards already
+// visited are revalidated. A broken cut restarts the traversal under a
+// fresh vector while nothing has been yielded and attempts remain;
+// otherwise the traversal completes with per-shard-atomic semantics,
+// counts one SnapshotBreak and returns false.
+func (m *Map) walk(lo, hi int64, descending bool, visit func(a *core.Array) (yielded, stopped bool)) bool {
+	if lo > hi {
+		return true
+	}
+	jLo, jHi := m.shardOf(lo), m.shardOf(hi)
+	first, step := jLo, 1
+	if descending {
+		first, step = jHi, -1
+	}
+	sv := getVec(jHi - jLo + 1)
+	defer vecPool.Put(sv)
+	vec := sv.v
+	consistent, yielded := true, false
+	for attempt, i := 0, 0; i < len(vec); i++ {
+		s := &m.shards[first+i*step]
+		s.mu.Lock()
+		flushDeferred(s)
+		if consistent && !m.versionsMatch(vec[:i], first, step) {
+			if !yielded && attempt+1 < snapshotAttempts {
+				// Nothing streamed yet: the break is invisible to the
+				// caller — restart under a fresh vector instead of
+				// settling for a torn verdict.
+				s.mu.Unlock()
+				attempt++
+				snapshotBackoff(attempt)
+				i = -1
+				continue
+			}
+			consistent = false
+			m.snapshotBreaks.Add(1)
+		}
+		vec[i] = s.ver.Load()
+		y, stopped := visit(s.a)
+		s.mu.Unlock()
+		yielded = yielded || y
+		if stopped {
+			break
+		}
+	}
+	return consistent
 }
 
 // SnapshotScanRange visits every element with lo <= key <= hi in key
@@ -70,162 +126,21 @@ func (m *Map) versionsMatch(vec []uint64, jLo int) bool {
 // cut: true means there was an instant at which every visited shard
 // simultaneously held exactly the state the callback saw. On a broken
 // cut the scan does not restart (the callback already consumed earlier
-// shards); it completes with the per-shard-atomic semantics of the
-// locked path, counts a SnapshotBreak, and returns false.
+// shards); it completes with per-shard-atomic semantics, counts a
+// SnapshotBreak, and returns false.
 //
 // Early termination by the callback returns the consistency status of
 // the prefix actually visited; a single-shard traversal is trivially
-// consistent. Outside lock-free mode versions never move, so the
-// traversal is reported consistent exactly when it is (writers hold
-// the same locks the scan does, but may interleave between shards
-// without detection — use EnableLockFreeReads for the verdict to be
-// meaningful).
+// consistent.
 func (m *Map) SnapshotScanRange(lo, hi int64, visit func(key, val int64) bool) bool {
-	if lo > hi {
-		return true
-	}
-	jLo, jHi := m.shardOf(lo), m.shardOf(hi)
-	sv := getVec(jHi - jLo + 1)
-	defer vecPool.Put(sv)
-	vec := sv.v
-	consistent := true
-	yielded := false
-	attempt := 0
-	for {
-		restart := false
-		for j := jLo; j <= jHi; j++ {
-			s := &m.shards[j]
-			s.mu.Lock()
-			flushDeferred(s)
-			if consistent && !m.versionsMatch(vec[:j-jLo], jLo) {
-				if !yielded && attempt+1 < snapshotAttempts {
-					// Nothing streamed yet: the break is invisible to the
-					// caller — restart under a fresh vector instead of
-					// settling for a torn verdict.
-					s.mu.Unlock()
-					attempt++
-					snapshotBackoff(attempt)
-					restart = true
-					break
-				}
-				consistent = false
-				m.snapshotBreaks.Add(1)
-			}
-			vec[j-jLo] = s.ver.Load()
-			stopped := false
-			s.a.ScanRange(lo, hi, func(k, v int64) bool {
-				yielded = true
-				if !visit(k, v) {
-					stopped = true
-					return false
-				}
-				return true
-			})
-			s.mu.Unlock()
-			if stopped {
-				break
-			}
-		}
-		if !restart {
-			return consistent
-		}
-	}
-}
-
-// snapshotAscend is IterAscend's lock-free-mode body: the merged
-// ascending traversal with version-vector validation. The verdict is
-// tracked for the SnapshotBreaks counter but not surfaced through the
-// iter.Seq2 shape — use SnapshotScanRange when the caller needs it.
-func (m *Map) snapshotAscend(lo, hi int64, yield func(int64, int64) bool) {
-	jLo, jHi := m.shardOf(lo), m.shardOf(hi)
-	sv := getVec(jHi - jLo + 1)
-	defer vecPool.Put(sv)
-	vec := sv.v
-	consistent := true
-	yielded := false
-	attempt := 0
-	for {
-		restart := false
-		for j := jLo; j <= jHi; j++ {
-			s := &m.shards[j]
-			s.mu.Lock()
-			flushDeferred(s)
-			if consistent && !m.versionsMatch(vec[:j-jLo], jLo) {
-				if !yielded && attempt+1 < snapshotAttempts {
-					s.mu.Unlock()
-					attempt++
-					snapshotBackoff(attempt)
-					restart = true
-					break
-				}
-				consistent = false
-				m.snapshotBreaks.Add(1)
-			}
-			vec[j-jLo] = s.ver.Load()
-			stopped := false
-			for k, v := range s.a.IterAscend(lo, hi) {
-				yielded = true
-				if !yield(k, v) {
-					stopped = true
-					break
-				}
-			}
-			s.mu.Unlock()
-			if stopped {
-				return
-			}
-		}
-		if !restart {
-			return
-		}
-	}
-}
-
-// snapshotDescend mirrors snapshotAscend right to left: the visited
-// suffix (higher shards) is revalidated before each lower shard.
-func (m *Map) snapshotDescend(lo, hi int64, yield func(int64, int64) bool) {
-	jLo, jHi := m.shardOf(lo), m.shardOf(hi)
-	sv := getVec(jHi - jLo + 1)
-	defer vecPool.Put(sv)
-	vec := sv.v
-	consistent := true
-	yielded := false
-	attempt := 0
-	for {
-		restart := false
-		for j := jHi; j >= jLo; j-- {
-			s := &m.shards[j]
-			s.mu.Lock()
-			flushDeferred(s)
-			if consistent && !m.versionsMatch(vec[j-jLo+1:], j+1) {
-				if !yielded && attempt+1 < snapshotAttempts {
-					s.mu.Unlock()
-					attempt++
-					snapshotBackoff(attempt)
-					restart = true
-					break
-				}
-				consistent = false
-				m.snapshotBreaks.Add(1)
-			}
-			vec[j-jLo] = s.ver.Load()
-			stopped := false
-			for k, v := range s.a.IterDescend(lo, hi) {
-				yielded = true
-				if !yield(k, v) {
-					stopped = true
-					break
-				}
-			}
-			s.mu.Unlock()
-			if stopped {
-				return
-			}
-		}
-		if !restart {
-			return
-		}
-	}
+	return m.walk(lo, hi, false, func(a *core.Array) (yielded, stopped bool) {
+		a.ScanRange(lo, hi, func(k, v int64) bool {
+			yielded = true
+			stopped = !visit(k, v)
+			return !stopped
+		})
+		return yielded, stopped
+	})
 }
 
 // snapshotAttempts bounds how many broken cuts a snapshot traversal
@@ -246,51 +161,34 @@ func snapshotBackoff(attempt int) {
 	time.Sleep(time.Duration(1<<uint(attempt)) * time.Microsecond)
 }
 
-// snapshotRank is Rank's lock-free-mode body: the left-of-x size sum
-// retried under a fresh version vector until one consistent cut covers
-// every contributing shard, then the in-shard rank of the owning shard
-// completes it under the same cut.
-func (m *Map) snapshotRank(x int64) int {
+// Rank returns the number of stored elements with key < x: the sizes of
+// the shards left of the owning shard plus the in-shard rank, each read
+// under its shard's lock. The sum is retried under a fresh version
+// vector (like walk, minus the flush — sizes are exact on a
+// locally-spread shard) until one consistent cut covers every
+// contributing shard; when every attempt loses the race it settles for
+// the per-shard-atomic sum and counts a SnapshotBreak.
+func (m *Map) Rank(x int64) int {
 	j := m.shardOf(x)
 	sv := getVec(j + 1)
 	defer vecPool.Put(sv)
 	vec := sv.v
-	for attempt := 0; attempt < snapshotAttempts; attempt++ {
-		if attempt > 0 {
-			snapshotBackoff(attempt)
-		}
-		r := 0
-		consistent := true
-		for i := 0; i <= j; i++ {
-			s := &m.shards[i]
-			s.mu.Lock()
-			if !m.versionsMatch(vec[:i], 0) {
-				consistent = false
-			}
-			vec[i] = s.ver.Load()
-			if consistent {
-				if i < j {
-					r += s.a.Size()
-				} else {
-					r += s.a.Rank(x)
-				}
-			}
-			s.mu.Unlock()
-			if !consistent {
-				break
-			}
-		}
-		if consistent {
-			return r
-		}
-	}
-	// Every attempt lost the race; take the per-shard-atomic answer the
-	// locked path would have produced.
-	m.snapshotBreaks.Add(1)
-	r := 0
-	for i := 0; i <= j; i++ {
+	r, consistent := 0, true
+	for attempt, i := 0, 0; i <= j; i++ {
 		s := &m.shards[i]
 		s.mu.Lock()
+		if consistent && !m.versionsMatch(vec[:i], 0, 1) {
+			if attempt+1 < snapshotAttempts {
+				s.mu.Unlock()
+				attempt++
+				snapshotBackoff(attempt)
+				r, i = 0, -1
+				continue
+			}
+			consistent = false
+			m.snapshotBreaks.Add(1)
+		}
+		vec[i] = s.ver.Load()
 		if i < j {
 			r += s.a.Size()
 		} else {

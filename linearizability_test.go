@@ -228,7 +228,7 @@ func TestShardedLinearizable(t *testing.T) {
 	}
 	s, err := NewShardedFromSample(6, sample,
 		WithSegmentCapacity(16), WithPageCapacity(64),
-		WithBackgroundRebalancing(2), WithLockFreeReads())
+		WithBackgroundRebalancing(2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,19 +9,18 @@ import (
 )
 
 // Unit tests for the lock-free read path at the facade: exactness
-// against a quiescent map, deterministic retry provocation, the
-// zero-allocation pin on the fast path, and degradation to the locked
-// path when the option is off.
+// against a quiescent map, deterministic retry provocation, and the
+// zero-allocation pin on the fast path.
 
-// newLockFreeFixture builds a lock-free sharded map holding diffVal
-// pairs for every even key in [0, 2n).
+// newLockFreeFixture builds a sharded map holding diffVal pairs for
+// every even key in [0, 2n).
 func newLockFreeFixture(t *testing.T, n int, opts ...Option) *Sharded {
 	t.Helper()
 	sample := make([]int64, 128)
 	for i := range sample {
 		sample[i] = int64(i) * int64(2*n) / int64(len(sample))
 	}
-	opts = append([]Option{WithSegmentCapacity(16), WithPageCapacity(64), WithLockFreeReads()}, opts...)
+	opts = append([]Option{WithSegmentCapacity(16), WithPageCapacity(64)}, opts...)
 	s, err := NewShardedFromSample(6, sample, opts...)
 	if err != nil {
 		t.Fatal(err)
@@ -149,33 +148,6 @@ func TestLockFreeGetAllocationFree(t *testing.T) {
 	_ = sink
 	if st := s.Stats(); st.LockFreeReads == 0 {
 		t.Fatal("the allocation pin never exercised the lock-free path")
-	}
-}
-
-// TestLockFreeOffUsesLockedPath: without the option, the counters stay
-// zero and the read surface still answers exactly — the seqlock path
-// must be strictly opt-in.
-func TestLockFreeOffUsesLockedPath(t *testing.T) {
-	s, err := NewSharded(4, WithSegmentCapacity(16), WithPageCapacity(64))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := int64(0); i < 1000; i++ {
-		if err := s.Insert(i, diffVal(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := int64(0); i < 1000; i++ {
-		if v, ok := s.Find(i); !ok || v != diffVal(i) {
-			t.Fatalf("Find(%d) = (%d,%v)", i, v, ok)
-		}
-	}
-	if !s.SnapshotScan(0, 999, func(k, v int64) bool { return true }) {
-		t.Error("SnapshotScan on a quiescent locked-mode map reported an inconsistent cut")
-	}
-	st := s.Stats()
-	if st.LockFreeReads != 0 || st.ReadRetries != 0 || st.EpochAdvances != 0 {
-		t.Fatalf("locked-mode map recorded lock-free activity: %+v", st)
 	}
 }
 

@@ -2,6 +2,7 @@ package rma
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"rma/internal/workload"
@@ -212,24 +213,37 @@ func checkIterSeq(t *testing.T, name string, seq func(func(int64, int64) bool), 
 	}
 }
 
+// diffBackend is one backend under differential test. A durable Sharded
+// backend also carries the options that recover it: the test ends it
+// with Checkpoint → Close → OpenSharded(dir, reopen...) and compares the
+// recovered content in full.
+type diffBackend struct {
+	om     UpdatableMap
+	dir    string
+	reopen []Option
+}
+
 // diffBackends returns the updatable backends under differential test,
 // including RMA configurations that exercise resizes and both threshold
-// presets at small segment sizes.
-func diffBackends(t *testing.T) map[string]UpdatableMap {
+// presets at small segment sizes, and every Sharded option combination:
+// {synchronous, background rebalancing} x {in-memory, durable,
+// durable + WAL}.
+func diffBackends(t *testing.T) map[string]diffBackend {
 	t.Helper()
-	mk := func(opts ...Option) *Array {
+	mk := func(opts ...Option) diffBackend {
 		a, err := New(opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return a
+		return diffBackend{om: a}
 	}
-	mkSharded := func(shards int, sample []int64) *Sharded {
-		s, err := NewShardedFromSample(shards, sample,
-			WithSegmentCapacity(16), WithPageCapacity(64))
+	geometry := []Option{WithSegmentCapacity(16), WithPageCapacity(64)}
+	mkSharded := func(shards int, sample []int64, opts ...Option) *Sharded {
+		s, err := NewShardedFromSample(shards, sample, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
+		t.Cleanup(func() { s.Close() })
 		return s
 	}
 	// Boundary sample spanning the differential key range, so the
@@ -238,17 +252,36 @@ func diffBackends(t *testing.T) map[string]UpdatableMap {
 	for i := range sample {
 		sample[i] = int64(i) * 4000 / int64(len(sample))
 	}
-	return map[string]UpdatableMap{
+	backends := map[string]diffBackend{
 		"rma-default":      mk(WithSegmentCapacity(16), WithPageCapacity(64)),
 		"rma-scanoriented": mk(WithSegmentCapacity(8), WithPageCapacity(32), WithScanOrientedThresholds()),
 		"rma-norewire": mk(WithSegmentCapacity(16), WithPageCapacity(64),
 			WithMemoryRewiring(false), WithAdaptiveRebalancing(false)),
-		"abtree":     NewABTree(16),
-		"art":        NewARTTree(16),
-		"sharded-5":  mkSharded(5, sample),
-		"sharded-1":  mkSharded(1, nil),
-		"sharded-64": mkSharded(64, sample),
+		"abtree":     {om: NewABTree(16)},
+		"art":        {om: NewARTTree(16)},
+		"sharded-1":  {om: mkSharded(1, nil, geometry...)},
+		"sharded-64": {om: mkSharded(64, sample, geometry...)},
 	}
+	for _, rebal := range []string{"sync", "async"} {
+		for _, store := range []string{"mem", "dur", "wal"} {
+			b := diffBackend{reopen: slices.Clone(geometry)}
+			if rebal == "async" {
+				b.reopen = append(b.reopen, WithBackgroundRebalancing(2))
+			}
+			if store != "mem" {
+				b.dir = t.TempDir()
+				b.reopen = append(b.reopen, WithDurability(b.dir))
+			}
+			if store == "wal" {
+				// The differential stream checks content, not crash
+				// safety: let the OS schedule the log's fsyncs.
+				b.reopen = append(b.reopen, WithWAL(WALConfig{Fsync: "never"}))
+			}
+			b.om = mkSharded(5, sample, b.reopen...)
+			backends["sharded-"+rebal+"-"+store] = b
+		}
+	}
+	return backends
 }
 
 func TestOrderedMapDifferential(t *testing.T) {
@@ -257,8 +290,9 @@ func TestOrderedMapDifferential(t *testing.T) {
 		rounds   = 12
 		opsPer   = 400
 	)
-	for name, om := range diffBackends(t) {
+	for name, b := range diffBackends(t) {
 		t.Run(name, func(t *testing.T) {
+			om := b.om
 			rng := workload.NewRNG(77)
 			m := &refModel{}
 			probesAt := func() []int64 {
@@ -309,6 +343,25 @@ func TestOrderedMapDifferential(t *testing.T) {
 					}
 				}
 			}
+			if b.dir == "" {
+				return
+			}
+			s := om.(*Sharded)
+			if err := s.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			r, err := OpenSharded(b.dir, b.reopen...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			if err := r.Validate(); err != nil {
+				t.Fatalf("recovered map: %v", err)
+			}
+			checkQueries(t, r, m, probesAt())
 		})
 	}
 }

@@ -100,9 +100,6 @@ type options struct {
 	// durDir, when non-empty, roots the durability tree the structure
 	// checkpoints into (WithDurability).
 	durDir string
-	// lockFree enables the sharded layer's seqlock read path
-	// (WithLockFreeReads). Ignored by New.
-	lockFree bool
 	// wal, when non-nil, composes a write-ahead log with the durability
 	// tree (WithWAL). Ignored by New.
 	wal *WALConfig
@@ -211,29 +208,13 @@ func WithBackgroundRebalancing(workers int) Option {
 	return func(o *options) { o.rebalWorkers = workers }
 }
 
-// WithLockFreeReads switches the sharded map's point-read fast path to
-// an optimistic seqlock protocol (NewSharded, NewShardedFromSample and
-// OpenSharded; New ignores it — a sequential Array has no locks to
-// elide). Find, Contains, Floor, Ceiling and GetBatch first attempt the
-// read without acquiring the shard lock: writers bump a per-shard
-// version word around every mutation, readers validate it around an
-// optimistic probe of the engine's published read view and retry on a
-// lost race, falling back to the locked path after a bounded number of
-// attempts — so write-hot shards degrade to today's behavior instead of
-// live-locking readers. Pages retired by concurrent rebalances pass
-// through an epoch gate and are recycled only after every optimistic
-// reader has moved on.
+// WithLockFreeReads does nothing: optimistic seqlock reads are the
+// Sharded map's only read route (see CONCURRENCY.md, "The read
+// contract").
 //
-// Cross-shard reads (iterators, ScanRange, Rank) additionally track a
-// per-shard version vector: Rank retries until one consistent cut
-// covers every contributing shard, and SnapshotScan reports whether the
-// whole traversal observed a single consistent cut. Read-path counters
-// appear in Stats (LockFreeReads, ReadRetries, ReadFallbacks,
-// EpochAdvances, SnapshotBreaks). See CONCURRENCY.md for the protocol
-// and its memory-model argument.
-func WithLockFreeReads() Option {
-	return func(o *options) { o.lockFree = true }
-}
+// Deprecated: always on. Kept only until the benchmark (bench/run.go)
+// stops passing it.
+func WithLockFreeReads() Option { return func(*options) {} }
 
 // New builds an empty Rewired Memory Array.
 func New(opts ...Option) (*Array, error) {
@@ -346,73 +327,12 @@ func (r *Array) Density() float64 { return r.a.Density() }
 // including spare rewiring pages, the index and the detector.
 func (r *Array) FootprintBytes() int64 { return r.a.FootprintBytes() }
 
-// Stats is a snapshot of the array's operation counters.
-type Stats struct {
-	Inserts, Deletes, Lookups uint64
-	// Rebalances counts window rebalances; AdaptiveRebalances those that
-	// used the Detector's marked intervals.
-	Rebalances, AdaptiveRebalances uint64
-	// RebalancedElements counts elements moved by rebalances;
-	// ElementCopies counts copy operations (two-pass copies twice).
-	RebalancedElements, ElementCopies uint64
-	// PageSwaps counts O(1) virtual page rewirings.
-	PageSwaps uint64
-	// Resizes, Grows, Shrinks count capacity changes.
-	Resizes, Grows, Shrinks uint64
-	BulkLoads               uint64
-	// DeferredWindows counts density violations handed to the
-	// background rebalancer instead of repaired on the write path;
-	// MaintenanceRuns counts the background passes that executed the
-	// deferred rebalance or resize. Both stay 0 without
-	// WithBackgroundRebalancing.
-	DeferredWindows, MaintenanceRuns uint64
-	// AllocFailures counts storage allocation failures surfaced as
-	// ErrAllocFailed; the structure stays consistent after each one.
-	AllocFailures uint64
-	// Checkpoints and CheckpointFailures count published and failed
-	// checkpoint attempts; CheckpointPages counts pages persisted across
-	// all published checkpoints. All stay 0 without WithDurability.
-	Checkpoints, CheckpointFailures, CheckpointPages uint64
-	// Lock-free read-path counters; all stay 0 without
-	// WithLockFreeReads. LockFreeReads counts point reads served without
-	// a shard lock; ReadRetries counts optimistic attempts discarded by
-	// a racing writer; ReadFallbacks counts reads that exhausted their
-	// retry budget and took the locked path; EpochAdvances counts
-	// retired-page reclamation rounds; SnapshotBreaks counts cross-shard
-	// reads that lost version-vector consistency and degraded to
-	// per-shard semantics.
-	LockFreeReads, ReadRetries, ReadFallbacks uint64
-	EpochAdvances, SnapshotBreaks             uint64
-	// Write-ahead-log counters; all stay 0 without WithWAL. Records,
-	// waves and syncs count staged records, group-commit waves and
-	// fsyncs; rotations/truncations count segment lifecycle; the
-	// *Failures counters count faults on each WAL edge (injected or
-	// real) — after every one the store keeps serving with its last
-	// recovery point intact. AutoCheckpoints counts the checkpoint
-	// rounds the automatic scheduler started.
-	WALRecords, WALWaves, WALSyncs         uint64
-	WALRotations, WALTruncations           uint64
-	WALAppendFailures, WALSyncFailures     uint64
-	WALRotateFailures, WALTruncateFailures uint64
-	AutoCheckpoints                        uint64
-}
+// Stats is a snapshot of a structure's operation counters; see
+// core.Stats for what each field counts.
+type Stats = core.Stats
 
 // Stats returns the operation counters accumulated so far.
-func (r *Array) Stats() Stats {
-	s := r.a.Stats()
-	return Stats{
-		Inserts: s.Inserts, Deletes: s.Deletes, Lookups: s.Lookups,
-		Rebalances: s.Rebalances, AdaptiveRebalances: s.AdaptiveRebalances,
-		RebalancedElements: s.RebalancedElements, ElementCopies: s.ElementCopies,
-		PageSwaps: s.PageSwaps,
-		Resizes:   s.Resizes, Grows: s.Grows, Shrinks: s.Shrinks,
-		BulkLoads:       s.BulkLoads,
-		DeferredWindows: s.DeferredWindows, MaintenanceRuns: s.MaintenanceRuns,
-		AllocFailures: s.AllocFailures,
-		Checkpoints:   s.Checkpoints, CheckpointFailures: s.CheckpointFailures,
-		CheckpointPages: s.CheckpointPages,
-	}
-}
+func (r *Array) Stats() Stats { return r.a.Stats() }
 
 // Validate checks every structural invariant; it is O(n) and meant for
 // tests and debugging.

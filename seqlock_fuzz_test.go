@@ -50,7 +50,7 @@ func FuzzSeqlockInterleave(f *testing.F) {
 			sample = []int64{0}
 		}
 		s, err := NewShardedFromSample(k, sample,
-			WithSegmentCapacity(8), WithPageCapacity(32), WithLockFreeReads())
+			WithSegmentCapacity(8), WithPageCapacity(32))
 		if err != nil {
 			t.Fatal(err)
 		}

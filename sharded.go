@@ -24,6 +24,15 @@ import (
 // exact contract. Iterator and scan callbacks run holding the current
 // shard's lock and must not call back into the same Sharded map.
 //
+// Point reads (Find, Contains, Floor, Ceiling, GetBatch) take no lock:
+// they probe the shard optimistically under a seqlock and fall back to
+// the shard lock only after a bounded number of lost races with
+// writers. Cross-shard reads (iterators, ScanRange, Rank) validate a
+// per-shard version vector and retry until they observe one consistent
+// cut where they can; SnapshotScan reports the verdict. The counters
+// are in Stats (LockFreeReads, ReadRetries, ReadFallbacks,
+// EpochAdvances, SnapshotBreaks).
+//
 // With WithBackgroundRebalancing, a maintenance pool
 // (internal/rebal) executes deferred window rebalances and resizes off
 // the write path; call Close to drain it when done. Without the option,
@@ -103,11 +112,6 @@ func newSharded(seps []int64, opts []Option) (*Sharded, error) {
 // their sweeps, so the map must be fully durable before Start.
 func finishSharded(m *shard.Map, o options) *Sharded {
 	s := &Sharded{m: m}
-	if o.lockFree {
-		// Before the pool starts and before the map is shared: the epoch
-		// gates route page retirement from the first rebalance on.
-		m.EnableLockFreeReads()
-	}
 	if o.rebalWorkers != 0 {
 		workers := o.rebalWorkers
 		if workers < 0 {
@@ -192,9 +196,9 @@ func (s *Sharded) Find(key int64) (int64, bool) { return s.m.Find(key) }
 // GetBatch resolves a batch of point lookups: out is grown to
 // len(keys) (reused when its capacity suffices) and out[i] answers
 // keys[i]. Probes are grouped per shard in one counting-sort pass, so
-// each shard is locked exactly once and its group rides the engine's
-// descent-amortizing batch path. Like every multi-shard operation the
-// batch is consistent per shard, not across shards.
+// each shard is visited exactly once and answers its whole group from
+// one state. Like every multi-shard operation the batch is consistent
+// per shard, not across shards.
 func (s *Sharded) GetBatch(keys []int64, out []Lookup) []Lookup { return s.m.GetBatch(keys, out) }
 
 // Contains reports whether key is stored.
@@ -247,10 +251,7 @@ func (s *Sharded) Scan(yield func(key, val int64) bool) { s.m.Scan(yield) }
 // SnapshotScan visits every element with lo <= key <= hi in key order
 // and reports whether the whole traversal observed one consistent cut —
 // an instant at which every visited shard simultaneously held exactly
-// the state the callback saw. Requires WithLockFreeReads for the
-// verdict to be meaningful (without it, writers cannot be detected
-// between shard visits and the scan reports true with the ordinary
-// per-shard-atomic guarantee). On a broken cut the scan completes with
+// the state the callback saw. On a broken cut the scan completes with
 // per-shard semantics and returns false — callers needing a true
 // snapshot retry.
 func (s *Sharded) SnapshotScan(lo, hi int64, yield func(key, val int64) bool) bool {
@@ -271,29 +272,7 @@ func (s *Sharded) Size() int { return s.m.Size() }
 func (s *Sharded) FootprintBytes() int64 { return s.m.FootprintBytes() }
 
 // Stats returns the operation counters summed across shards.
-func (s *Sharded) Stats() Stats {
-	st := s.m.Stats()
-	return Stats{
-		Inserts: st.Inserts, Deletes: st.Deletes, Lookups: st.Lookups,
-		Rebalances: st.Rebalances, AdaptiveRebalances: st.AdaptiveRebalances,
-		RebalancedElements: st.RebalancedElements, ElementCopies: st.ElementCopies,
-		PageSwaps: st.PageSwaps,
-		Resizes:   st.Resizes, Grows: st.Grows, Shrinks: st.Shrinks,
-		BulkLoads:       st.BulkLoads,
-		DeferredWindows: st.DeferredWindows, MaintenanceRuns: st.MaintenanceRuns,
-		AllocFailures: st.AllocFailures,
-		Checkpoints:   st.Checkpoints, CheckpointFailures: st.CheckpointFailures,
-		CheckpointPages: st.CheckpointPages,
-		LockFreeReads:   st.LockFreeReads, ReadRetries: st.ReadRetries,
-		ReadFallbacks: st.ReadFallbacks, EpochAdvances: st.EpochAdvances,
-		SnapshotBreaks: st.SnapshotBreaks,
-		WALRecords:     st.WALRecords, WALWaves: st.WALWaves, WALSyncs: st.WALSyncs,
-		WALRotations: st.WALRotations, WALTruncations: st.WALTruncations,
-		WALAppendFailures: st.WALAppendFailures, WALSyncFailures: st.WALSyncFailures,
-		WALRotateFailures: st.WALRotateFailures, WALTruncateFailures: st.WALTruncateFailures,
-		AutoCheckpoints: st.AutoCheckpoints,
-	}
-}
+func (s *Sharded) Stats() Stats { return s.m.Stats() }
 
 // ServeStats is the serving-layer snapshot: the operation counters
 // plus the load diagnostics a front end or soak harness reports in one

@@ -12,8 +12,8 @@ import (
 // writers, SnapshotScan readers and optimistic point readers must
 // neither panic nor corrupt — in-flight operations either complete or
 // error cleanly, and the racing goroutines all terminate. Exercised on
-// every serving configuration: plain, lock-free reads + background
-// rebalancing, and the same with durability (Close tears down the
+// every serving configuration: plain, background rebalancing, and the
+// same with durability (Close tears down the
 // checkpoint file handles while reads are still being served from the
 // heap-backed pages).
 //
@@ -28,15 +28,14 @@ func TestCloseWhileServing(t *testing.T) {
 		opts []Option
 	}{
 		{"plain", nil},
-		{"lockfree-async", []Option{WithLockFreeReads(), WithBackgroundRebalancing(2)}},
-		{"lockfree-async-durable", nil}, // durability dir added per run
+		{"async", []Option{WithBackgroundRebalancing(2)}},
+		{"async-durable", nil}, // durability dir added per run
 	}
 	for _, cfg := range configs {
 		t.Run(cfg.name, func(t *testing.T) {
 			opts := cfg.opts
-			if cfg.name == "lockfree-async-durable" {
-				opts = []Option{WithLockFreeReads(), WithBackgroundRebalancing(2),
-					WithDurability(t.TempDir())}
+			if cfg.name == "async-durable" {
+				opts = []Option{WithBackgroundRebalancing(2), WithDurability(t.TempDir())}
 			}
 			s, err := NewSharded(4, opts...)
 			if err != nil {
@@ -93,7 +92,7 @@ func TestCloseWhileServing(t *testing.T) {
 					}
 				})
 			}
-			// Optimistic point readers (seqlock path when enabled).
+			// Optimistic point readers (seqlock path).
 			for r := 0; r < 2; r++ {
 				seed := int64(r)
 				spawn(func() {

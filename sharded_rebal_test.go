@@ -283,7 +283,7 @@ func TestShardedRebalancerLockFreeReaders(t *testing.T) {
 	}
 	s, err := NewShardedFromSample(5, sample,
 		WithSegmentCapacity(16), WithPageCapacity(64),
-		WithBackgroundRebalancing(2), WithLockFreeReads())
+		WithBackgroundRebalancing(2))
 	if err != nil {
 		t.Fatal(err)
 	}

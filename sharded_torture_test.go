@@ -97,7 +97,7 @@ func TestShardedConcurrentDifferential(t *testing.T) {
 	// Find/GetBatch/Floor/Ceiling probe below races the writers through
 	// the seqlock path and must still be exact on its own stripe.
 	s, err := NewShardedFromSample(7, sample, WithSegmentCapacity(16), WithPageCapacity(64),
-		WithBackgroundRebalancing(2), WithLockFreeReads())
+		WithBackgroundRebalancing(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +297,7 @@ func TestShardedConcurrentBatches(t *testing.T) {
 		sample[i] = int64(i) * tortureKeySpace / int64(len(sample))
 	}
 	s, err := NewShardedFromSample(8, sample, WithSegmentCapacity(16), WithPageCapacity(64),
-		WithBackgroundRebalancing(2), WithLockFreeReads())
+		WithBackgroundRebalancing(2))
 	if err != nil {
 		t.Fatal(err)
 	}
