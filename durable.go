@@ -164,8 +164,8 @@ func (r *Array) Close() error {
 
 // OpenArray recovers an Array from the durability tree at dir,
 // restoring the last checkpointed state. opts must describe the same
-// engine the checkpoints were taken with (layout and page size are
-// verified; tuning options are free to differ). The recovered array is
+// engine the checkpoints were taken with (the page size is verified;
+// tuning options are free to differ). The recovered array is
 // durable and continues checkpointing incrementally into dir.
 func OpenArray(dir string, opts ...Option) (*Array, error) {
 	o := defaultOptions()

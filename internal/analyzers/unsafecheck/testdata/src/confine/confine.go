@@ -1,8 +1,8 @@
-// Package fixture violates unsafe confinement: it is not internal/vmem
-// and not internal/core/swar.go, yet reaches for raw memory.
+// Package fixture violates unsafe confinement: it is not an analyzer
+// package, yet reaches for raw memory.
 package fixture
 
-import "unsafe" // want `unsafe is confined to internal/vmem and internal/core/swar\.go`
+import "unsafe" // want `unsafe is not allowed outside internal/analyzers`
 
 // Size uses the import so the fixture compiles.
 func Size() uintptr { return unsafe.Sizeof(int64(0)) }

@@ -1,11 +1,10 @@
-// Package unsafecheck fences the repo's unsafe memory machinery
-// (MEMORY contract: rewiring is the only place raw memory appears):
+// Package unsafecheck keeps raw memory out of the module and fences the
+// vmem page lifecycle:
 //
-//   - Confinement: importing unsafe — or touching reflect's
-//     SliceHeader/StringHeader — is allowed only in internal/vmem (the
-//     page allocator and its mmap rewiring backend) and in
-//     internal/core's swar.go (word-packed probe kernels). Everywhere
-//     else the module works with ordinary slices.
+//   - Confinement: no package outside internal/analyzers imports unsafe
+//     or touches reflect's SliceHeader/StringHeader. Rewiring is a
+//     page-table swap over ordinary slices (internal/vmem), so the
+//     product needs neither.
 //
 //   - Page lifecycle: a slice obtained from a vmem object (Page, Slots,
 //     AcquireSpare, AcquireSpares) is a window onto virtual memory that
@@ -23,7 +22,6 @@ package unsafecheck
 import (
 	"go/ast"
 	"go/types"
-	"path/filepath"
 	"strings"
 
 	"rma/internal/analyzers/rig"
@@ -32,7 +30,7 @@ import (
 // Analyzer is the unsafecheck analysis.
 var Analyzer = &rig.Analyzer{
 	Name: "unsafecheck",
-	Doc:  "confine unsafe to vmem/swar and enforce the page fill-then-swap lifecycle",
+	Doc:  "keep unsafe out of the module and enforce the page fill-then-swap lifecycle",
 	Run:  run,
 }
 
@@ -58,23 +56,14 @@ func run(pass *rig.Pass) error {
 	return nil
 }
 
-// allowedUnsafe reports whether the file may touch raw memory.
-func allowedUnsafe(pkgPath, filename string) bool {
-	if strings.HasSuffix(pkgPath, "internal/vmem") {
-		return true
-	}
-	return strings.HasSuffix(pkgPath, "internal/core") && filepath.Base(filename) == "swar.go"
-}
-
 func checkConfinement(pass *rig.Pass, pkg *rig.Package, file *ast.File) {
-	filename := pass.Module.Fset.Position(file.Pos()).Filename
-	if allowedUnsafe(pkg.Path, filename) {
+	if strings.Contains(pkg.Path, "internal/analyzers") {
 		return
 	}
 	for _, imp := range file.Imports {
 		if imp.Path.Value == `"unsafe"` {
 			pass.Reportf(imp.Pos(),
-				"unsafe is confined to internal/vmem and internal/core/swar.go (importing package %s)", pkg.Path)
+				"unsafe is not allowed outside internal/analyzers (importing package %s)", pkg.Path)
 		}
 	}
 	ast.Inspect(file, func(n ast.Node) bool {
@@ -86,7 +75,7 @@ func checkConfinement(pass *rig.Pass, pkg *rig.Package, file *ast.File) {
 			obj.Pkg() != nil && obj.Pkg().Path() == "reflect" &&
 			(obj.Name() == "SliceHeader" || obj.Name() == "StringHeader") {
 			pass.Reportf(sel.Pos(),
-				"reflect.%s is confined to internal/vmem and internal/core/swar.go", obj.Name())
+				"reflect.%s is not allowed outside internal/analyzers", obj.Name())
 		}
 		return true
 	})

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"rma/internal/calibrator"
 	"rma/internal/detector"
@@ -101,7 +102,7 @@ type Array struct {
 	// through an atomic pointer and republished at each geometry change.
 	// Readers load it without the shard lock; everything else about the
 	// Array keeps its "not safe for concurrent use" contract.
-	view viewPtr
+	view atomic.Pointer[readView]
 }
 
 // New builds an empty array with the given configuration.

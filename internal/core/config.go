@@ -9,6 +9,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"rma/internal/calibrator"
@@ -30,6 +31,12 @@ const (
 	// per element scanned (Section I).
 	LayoutInterleaved
 )
+
+// ErrClusteredOnly reports an attempt to shard, checkpoint or recover an
+// engine whose Layout is not LayoutClustered. The interleaved layout is
+// a paper baseline for the ablation experiments (NewTPMA, Fig 14); the
+// serving and durability layers carry exactly one layout.
+var ErrClusteredOnly = errors.New("core: only the clustered layout is sharded, checkpointed or recovered")
 
 // SegmentSizing selects how the segment capacity evolves.
 type SegmentSizing int

@@ -15,8 +15,8 @@ import (
 //
 // The division of labor: vmem owns pages (dirty tracking, shadow-paged
 // slot allocation, the epoch manifest); this file owns the array's
-// logical state — geometry, cardinalities, the interleaved occupancy
-// bitmap — serialized as the manifest's opaque meta blob. Everything
+// logical state — geometry and cardinalities — serialized as the
+// manifest's opaque meta blob. Everything
 // else the array keeps in memory (Fenwick tree, calibrator, index,
 // detector, scratch) is derived state, rebuilt on Open exactly the way
 // a resize rebuilds it.
@@ -40,6 +40,9 @@ const coreMetaMagic = "RMACORE1"
 // the first checkpoint persists the array wholesale; later ones write
 // only changed pages.
 func (a *Array) AttachDurability(r *vmem.FileRegion) error {
+	if a.cfg.Layout != LayoutClustered {
+		return ErrClusteredOnly
+	}
 	if r.PageSlots() != a.cfg.PageSlots {
 		return fmt.Errorf("core: region pageSlots %d != config PageSlots %d",
 			r.PageSlots(), a.cfg.PageSlots)
@@ -83,13 +86,16 @@ func (a *Array) Checkpoint(keep uint64) (uint64, error) {
 // Open rebuilds an array from the checkpoint at the given epoch (0 for
 // the latest) of an opened file region, leaving the region attached so
 // the array continues checkpointing incrementally. cfg must describe
-// the same engine the checkpoint was taken with (layout and page size
-// are verified against the stored meta; the rest — thresholds, index
-// kind, adaptivity — are free to differ, like a config change across a
+// the same engine the checkpoint was taken with (the page size is
+// verified against the stored meta; the rest — thresholds, index kind,
+// adaptivity — are free to differ, like a config change across a
 // restart).
 func Open(r *vmem.FileRegion, cfg Config, epoch uint64) (*Array, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
+	}
+	if cfg.Layout != LayoutClustered {
+		return nil, ErrClusteredOnly
 	}
 	spaces, meta, _, err := r.Recover(epoch)
 	if err != nil {
@@ -104,9 +110,6 @@ func Open(r *vmem.FileRegion, cfg Config, epoch uint64) (*Array, error) {
 	}
 	if md.pageSlots != cfg.PageSlots {
 		return nil, fmt.Errorf("core: checkpoint pageSlots %d != config PageSlots %d", md.pageSlots, cfg.PageSlots)
-	}
-	if Layout(md.layout) != cfg.Layout {
-		return nil, fmt.Errorf("core: checkpoint layout %d != config layout %d", md.layout, cfg.Layout)
 	}
 
 	a := &Array{cfg: cfg}
@@ -135,13 +138,6 @@ func Open(r *vmem.FileRegion, cfg Config, epoch uint64) (*Array, error) {
 	}
 	a.cards = md.cards
 	a.fen.reset(a.cards)
-	if cfg.Layout == LayoutInterleaved {
-		if len(md.bitmap) != (a.Capacity()+63)/64 {
-			return nil, fmt.Errorf("core: checkpoint bitmap has %d words, want %d",
-				len(md.bitmap), (a.Capacity()+63)/64)
-		}
-		a.bitmap = md.bitmap
-	}
 
 	// Derived state, rebuilt the way resizeTo rebuilds it.
 	a.cal = calibrator.NewTree(a.numSegs, cfg.Thresholds)
@@ -193,12 +189,15 @@ func (a *Array) InjectAllocFailure(keysN, valsN int) {
 //	pageSlots                 u32
 //	segSlots                  u32
 //	numSegs                   u32
-//	layout                    u32
+//	layout                    u32 (always 0, LayoutClustered)
 //	n                         u64
 //	cards                     numSegs × u32
-//	bitmapWords               u32 (0 for clustered)
-//	bitmap                    bitmapWords × u64
+//	bitmapWords               u32 (always 0: no occupancy bitmap follows)
 //	walLSN                    u64 (version >= 2; the shard's WAL floor)
+//
+// The two fixed words date from when interleaved arrays could checkpoint;
+// they stay so every existing clustered checkpoint still opens, and a
+// blob carrying anything else in them is rejected.
 //
 // Version 1 blobs (pre-WAL checkpoints) decode with walLSN = 0: replay
 // re-applies the whole log, which is safe — the floor only prunes work.
@@ -210,40 +209,26 @@ type coreMeta struct {
 	pageSlots int
 	segSlots  int
 	numSegs   int
-	layout    int
 	n         int
 	cards     []int32
-	bitmap    []uint64
 	walLSN    uint64
 }
 
-func cle32(b []byte, x uint32) []byte {
-	return append(b, byte(x), byte(x>>8), byte(x>>16), byte(x>>24))
-}
-
-func cle64(b []byte, x uint64) []byte {
-	b = cle32(b, uint32(x))
-	return cle32(b, uint32(x>>32))
-}
-
 func (a *Array) encodeMeta() []byte {
-	n := len(coreMetaMagic) + 4*5 + 8 + len(a.cards)*4 + 4 + len(a.bitmap)*8 + 8
+	n := len(coreMetaMagic) + 4*5 + 8 + len(a.cards)*4 + 4 + 8
 	b := make([]byte, 0, n)
 	b = append(b, coreMetaMagic...)
-	b = cle32(b, 2)
-	b = cle32(b, uint32(a.cfg.PageSlots))
-	b = cle32(b, uint32(a.segSlots))
-	b = cle32(b, uint32(a.numSegs))
-	b = cle32(b, uint32(a.cfg.Layout))
-	b = cle64(b, uint64(a.n))
+	b = binary.LittleEndian.AppendUint32(b, 2)
+	b = binary.LittleEndian.AppendUint32(b, uint32(a.cfg.PageSlots))
+	b = binary.LittleEndian.AppendUint32(b, uint32(a.segSlots))
+	b = binary.LittleEndian.AppendUint32(b, uint32(a.numSegs))
+	b = binary.LittleEndian.AppendUint32(b, 0) // layout
+	b = binary.LittleEndian.AppendUint64(b, uint64(a.n))
 	for _, c := range a.cards {
-		b = cle32(b, uint32(c))
+		b = binary.LittleEndian.AppendUint32(b, uint32(c))
 	}
-	b = cle32(b, uint32(len(a.bitmap)))
-	for _, w := range a.bitmap {
-		b = cle64(b, w)
-	}
-	b = cle64(b, a.walLSN)
+	b = binary.LittleEndian.AppendUint32(b, 0) // bitmapWords
+	b = binary.LittleEndian.AppendUint64(b, a.walLSN)
 	return b
 }
 
@@ -262,7 +247,9 @@ func decodeCoreMeta(meta []byte) (*coreMeta, error) {
 	md.pageSlots = int(u32())
 	md.segSlots = int(u32())
 	md.numSegs = int(u32())
-	md.layout = int(u32())
+	if layout := u32(); layout != 0 {
+		return nil, fmt.Errorf("core: checkpoint meta layout %d: %w", layout, ErrClusteredOnly)
+	}
 	md.n = int(binary.LittleEndian.Uint64(b))
 	b = b[8:]
 	if md.numSegs < 0 || len(b) < md.numSegs*4+4 {
@@ -272,23 +259,16 @@ func decodeCoreMeta(meta []byte) (*coreMeta, error) {
 	for i := range md.cards {
 		md.cards[i] = int32(u32())
 	}
-	words := int(u32())
-	tail := 0
+	if words := u32(); words != 0 {
+		return nil, fmt.Errorf("core: checkpoint meta carries %d bitmap words: %w", words, ErrClusteredOnly)
+	}
 	if version >= 2 {
-		tail = 8 // trailing walLSN
-	}
-	if words < 0 || len(b) != words*8+tail {
-		return nil, bad
-	}
-	if words > 0 {
-		md.bitmap = make([]uint64, words)
-		for i := range md.bitmap {
-			md.bitmap[i] = binary.LittleEndian.Uint64(b)
-			b = b[8:]
+		if len(b) != 8 {
+			return nil, bad
 		}
-	}
-	if version >= 2 {
 		md.walLSN = binary.LittleEndian.Uint64(b)
+	} else if len(b) != 0 {
+		return nil, bad
 	}
 	return md, nil
 }

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"rma/internal/vmem"
@@ -117,12 +119,6 @@ func testCheckpointOpenRoundTrip(t *testing.T, cfg Config) {
 
 func TestCheckpointOpenRoundTripClustered(t *testing.T) {
 	testCheckpointOpenRoundTrip(t, smallConfig())
-}
-
-func TestCheckpointOpenRoundTripInterleaved(t *testing.T) {
-	cfg := BaselineConfig()
-	cfg.PageSlots = 64
-	testCheckpointOpenRoundTrip(t, cfg)
 }
 
 func TestCheckpointOpenRoundTripTwoPass(t *testing.T) {
@@ -339,6 +335,16 @@ func TestCheckpointWithoutRegionErrors(t *testing.T) {
 	}
 }
 
+// interleavedConfig is smallConfig on the paper-baseline layout, which
+// the durability layer refuses.
+func interleavedConfig() Config {
+	cfg := smallConfig()
+	cfg.Layout = LayoutInterleaved
+	cfg.Rebalance = RebalanceTwoPass
+	cfg.Adaptive = AdaptiveOff
+	return cfg
+}
+
 func TestOpenRejectsMismatchedConfig(t *testing.T) {
 	cfg := smallConfig()
 	a, dir := durableArray(t, cfg)
@@ -357,16 +363,87 @@ func TestOpenRejectsMismatchedConfig(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	bad := cfg
-	bad.Layout = LayoutInterleaved
-	bad.Rebalance = RebalanceTwoPass
-	bad.Adaptive = AdaptiveOff
-	if _, err := Open(r, bad, 0); err == nil {
-		t.Fatal("Open accepted a layout mismatch")
+	if _, err := Open(r, interleavedConfig(), 0); !errors.Is(err, ErrClusteredOnly) {
+		t.Fatalf("Open with an interleaved config: want ErrClusteredOnly, got %v", err)
 	}
-	// The right config still opens after the failed attempt.
+	bad := cfg
+	bad.PageSlots = 64
+	if _, err := Open(r, bad, 0); err == nil {
+		t.Fatal("Open accepted a page-size mismatch")
+	}
+	// The right config still opens after the failed attempts.
 	if _, err := Open(r, cfg, 0); err != nil {
 		t.Fatalf("Open with matching config: %v", err)
+	}
+}
+
+func TestAttachDurabilityRejectsInterleaved(t *testing.T) {
+	cfg := interleavedConfig()
+	r, err := vmem.CreateFileRegion(t.TempDir(), cfg.PageSlots)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	a, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.AttachDurability(r); !errors.Is(err, ErrClusteredOnly) {
+		t.Fatalf("AttachDurability on an interleaved array: want ErrClusteredOnly, got %v", err)
+	}
+	if a.Durable() {
+		t.Fatal("rejected array reports Durable")
+	}
+}
+
+// TestCoreMetaFixedWords pins the checkpoint meta's two retired words:
+// a clustered array writes layout = 0 and bitmapWords = 0 at their
+// version-2 offsets (what every existing checkpoint holds), and a blob
+// carrying anything else — an interleaved array's checkpoint from before
+// the layout left the durable path — is refused, not carried.
+func TestCoreMetaFixedWords(t *testing.T) {
+	a, err := New(smallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 500; i++ {
+		if err := a.Insert(int64(i), int64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a.SetWALLSN(0x1122334455667788)
+	meta := a.encodeMeta()
+	layoutOff := len(coreMetaMagic) + 4*4
+	wordsOff := len(coreMetaMagic) + 4*5 + 8 + 4*a.NumSegments()
+	if len(meta) != wordsOff+4+8 {
+		t.Fatalf("meta is %d bytes, want %d", len(meta), wordsOff+4+8)
+	}
+	if v := binary.LittleEndian.Uint32(meta[len(coreMetaMagic):]); v != 2 {
+		t.Fatalf("meta version %d, want 2", v)
+	}
+	if l, w := binary.LittleEndian.Uint32(meta[layoutOff:]), binary.LittleEndian.Uint32(meta[wordsOff:]); l != 0 || w != 0 {
+		t.Fatalf("layout word %d, bitmapWords %d: both must be 0", l, w)
+	}
+	md, err := decodeCoreMeta(meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if md.n != a.Size() || md.numSegs != a.NumSegments() || md.walLSN != 0x1122334455667788 {
+		t.Fatalf("decoded n=%d segs=%d lsn=%#x", md.n, md.numSegs, md.walLSN)
+	}
+
+	bad := slices.Clone(meta)
+	binary.LittleEndian.PutUint32(bad[layoutOff:], uint32(LayoutInterleaved))
+	if _, err := decodeCoreMeta(bad); !errors.Is(err, ErrClusteredOnly) {
+		t.Fatalf("layout word 1: want ErrClusteredOnly, got %v", err)
+	}
+	// One bitmap word, payload included, so only the count is wrong.
+	bad = slices.Clone(meta[:wordsOff])
+	bad = binary.LittleEndian.AppendUint32(bad, 1)
+	bad = binary.LittleEndian.AppendUint64(bad, ^uint64(0))
+	bad = append(bad, meta[wordsOff+4:]...)
+	if _, err := decodeCoreMeta(bad); !errors.Is(err, ErrClusteredOnly) {
+		t.Fatalf("bitmapWords 1: want ErrClusteredOnly, got %v", err)
 	}
 }
 

@@ -1,22 +1,20 @@
 package core
 
-import (
-	"sync/atomic"
+import "rma/internal/vmem"
 
-	"rma/internal/vmem"
-)
-
-// The lock-free read path (see CONCURRENCY.md, "Lock-free reads").
+// The lock-free read path (see CONCURRENCY.md, "The read contract").
+// It reads the clustered layout only — the one layout the serving layer
+// runs (shard.New refuses any other).
 //
 // A seqlock reader cannot touch the Array's working fields directly:
-// a resize replaces whole slice headers (cards, bitmap, the page
-// tables), and a torn read of a slice header — pointer from one epoch,
-// length from another — is undefined behavior territory, unlike a torn
-// read of an int64 element, which the version revalidation simply
-// rejects. The split is therefore:
+// a resize replaces whole slice headers (cards, the page tables), and a
+// torn read of a slice header — pointer from one epoch, length from
+// another — is undefined behavior territory, unlike a torn read of an
+// int64 element, which the version revalidation simply rejects. The
+// split is therefore:
 //
 //   - readView captures every reader-reachable header (geometry, cards,
-//     bitmap, index, page tables) in one immutable struct published
+//     index, page tables) in one immutable struct published
 //     through an atomic pointer. It is republished only at the cold
 //     points where geometry changes — resetDerived, the resizeTo tail,
 //     durable Open — all of which run under the shard's write lock.
@@ -29,7 +27,7 @@ import (
 //     seqlock version has changed, so the value is discarded and the
 //     read retried.
 //   - A reader holding a stale view (captured just before a publish)
-//     reads from the *old* headers: the old cards/bitmap/pages are kept
+//     reads from the *old* headers: the old cards/pages are kept
 //     alive by the view itself (Go's GC is the RCU grace period for
 //     headers), and the retired physical pages behind a stale page
 //     table are kept unscribbled by the vmem epoch gate until the
@@ -38,23 +36,21 @@ import (
 //     memory safety and bounded garbage, not freshness.
 //
 // Every Read* method is defensive: garbage geometry (a card beyond the
-// segment size, a bitmap shorter than the capacity, a rank with no
-// matching occupied slot) returns valid=false instead of panicking,
-// because a reader racing a publish can observe any mix of old and new
-// words. The shard layer retries on valid=false exactly as it does on a
-// version mismatch.
+// segment size, a page table shorter than the capacity, a rank beyond
+// the card) returns valid=false instead of panicking, because a reader
+// racing a publish can observe any mix of old and new words. The shard
+// layer retries on valid=false exactly as it does on a version
+// mismatch.
 
 // readView is one immutable snapshot of the Array's reader-reachable
 // headers. Fields are never mutated after publish; the slices they
 // point at are mutated word-by-word by writers (see above).
 type readView struct {
-	layout    Layout
 	numSegs   int
 	segSlots  int
 	pageShift uint
 	pageSlots int
 	cards     []int32
-	bitmap    []uint64
 	ix        segIndex
 	keysTab   [][]int64
 	valsTab   [][]int64
@@ -63,16 +59,18 @@ type readView struct {
 // publishView captures the current headers into a fresh readView and
 // publishes it. Called at every geometry change, under the shard's
 // write lock; the allocation is part of the (already allocating)
-// resize/build machinery.
+// resize/build machinery. Other layouts publish nothing, so their Read*
+// probes report valid=false instead of misreading the slots.
 func (a *Array) publishView() {
+	if a.cfg.Layout != LayoutClustered {
+		return
+	}
 	v := &readView{
-		layout:    a.cfg.Layout,
 		numSegs:   a.numSegs,
 		segSlots:  a.segSlots,
 		pageShift: a.pageShift,
 		pageSlots: a.cfg.PageSlots,
 		cards:     a.cards,
-		bitmap:    a.bitmap,
 		ix:        a.ix,
 		keysTab:   a.keys.Table(),
 		valsTab:   a.vals.Table(),
@@ -162,9 +160,6 @@ func (v *readView) segAt(seg int) (kpg, vpg []int64, off int, ok bool) {
 	if off+v.segSlots > len(kpg) || off+v.segSlots > len(vpg) {
 		return nil, nil, 0, false
 	}
-	if v.layout == LayoutInterleaved && (slot+v.segSlots+63)>>6 > len(v.bitmap) {
-		return nil, nil, 0, false
-	}
 	return kpg, vpg, off, true
 }
 
@@ -183,20 +178,12 @@ func (v *readView) find(key int64) (int64, bool, bool) {
 	if !ok {
 		return 0, false, false
 	}
-	if v.layout == LayoutClustered {
-		lo, hi := v.runBounds(seg, c)
-		r := searchRun(kpg[off+lo:off+hi], key)
-		if r < 0 {
-			return 0, false, true
-		}
-		return vpg[off+lo+r], true, true
-	}
-	base := seg * v.segSlots
-	s := swarFindEq(kpg[off:off+v.segSlots], v.bitmap, base, key)
-	if s < 0 {
+	lo, hi := v.runBounds(seg, c)
+	r := searchRun(kpg[off+lo:off+hi], key)
+	if r < 0 {
 		return 0, false, true
 	}
-	return vpg[off+s-base], true, true
+	return vpg[off+lo+r], true, true
 }
 
 // elem returns the rank-th element of segment seg, defensively.
@@ -208,20 +195,12 @@ func (v *readView) elem(seg, rank int) (key, val int64, ok bool) {
 	if !segOK {
 		return 0, 0, false
 	}
-	if v.layout == LayoutClustered {
-		c, cok := v.card(seg)
-		if !cok || rank >= c {
-			return 0, 0, false
-		}
-		lo, _ := v.runBounds(seg, c)
-		return kpg[off+lo+rank], vpg[off+lo+rank], true
-	}
-	base := seg * v.segSlots
-	s := bmSelect(v.bitmap, base, base+v.segSlots, rank)
-	if s < 0 {
+	c, cok := v.card(seg)
+	if !cok || rank >= c {
 		return 0, 0, false
 	}
-	return kpg[off+s-base], vpg[off+s-base], true
+	lo, _ := v.runBounds(seg, c)
+	return kpg[off+lo+rank], vpg[off+lo+rank], true
 }
 
 // segUpperBound counts elements of seg with key <= x (view mirror of
@@ -231,12 +210,8 @@ func (v *readView) segUpperBound(seg, c int, x int64) (int, bool) {
 	if !ok {
 		return 0, false
 	}
-	if v.layout == LayoutClustered {
-		lo, hi := v.runBounds(seg, c)
-		return upperBoundRun(kpg[off+lo:off+hi], x), true
-	}
-	base := seg * v.segSlots
-	return swarUpperBound(kpg[off:off+v.segSlots], v.bitmap, base, x), true
+	lo, hi := v.runBounds(seg, c)
+	return upperBoundRun(kpg[off+lo:off+hi], x), true
 }
 
 // segLowerBound counts elements of seg with key < x.
@@ -245,12 +220,8 @@ func (v *readView) segLowerBound(seg, c int, x int64) (int, bool) {
 	if !ok {
 		return 0, false
 	}
-	if v.layout == LayoutClustered {
-		lo, hi := v.runBounds(seg, c)
-		return lowerBoundRun(kpg[off+lo:off+hi], x), true
-	}
-	base := seg * v.segSlots
-	return swarLowerBound(kpg[off:off+v.segSlots], v.bitmap, base, x), true
+	lo, hi := v.runBounds(seg, c)
+	return lowerBoundRun(kpg[off+lo:off+hi], x), true
 }
 
 // floor mirrors Array.Floor against the view.
@@ -330,6 +301,3 @@ func (v *readView) ceiling(x int64) (key, val int64, ok, valid bool) {
 	}
 	return 0, 0, false, true
 }
-
-// viewPtr is a named alias so Array's field declaration stays tidy.
-type viewPtr = atomic.Pointer[readView]

@@ -8,7 +8,7 @@ import (
 
 // Differential tests for the optimistic read view: ReadFind, ReadFloor
 // and ReadCeiling must agree exactly with their locked counterparts on
-// a quiescent array across every layout/index configuration, keep
+// a quiescent clustered array across every index kind, keep
 // agreeing across rebalances and resizes (view republication), and
 // fail closed — valid=false, never garbage — when handed a stale view.
 
@@ -18,18 +18,14 @@ func readpathConfigs() map[string]Config {
 		c.PageSlots = 32
 		return c
 	}
-	iv := small(DefaultConfig())
-	iv.Layout = LayoutInterleaved
 	st := small(DefaultConfig())
 	st.Index = IndexStatic
 	dyn := small(DefaultConfig())
 	dyn.Index = IndexDynamic
 	return map[string]Config{
-		"clustered-eytzinger":   small(DefaultConfig()),
-		"interleaved-eytzinger": iv,
-		"clustered-static":      st,
-		"clustered-dynamic":     dyn,
-		"baseline":              small(BaselineConfig()),
+		"clustered-eytzinger": small(DefaultConfig()),
+		"clustered-static":    st,
+		"clustered-dynamic":   dyn,
 	}
 }
 
@@ -100,6 +96,33 @@ func checkReadAgainstLocked(t *testing.T, a *Array, x int64) {
 	}
 	if gcok != cok || (cok && (gck != ck || gcv != cv)) {
 		t.Errorf("ReadCeiling(%d) = (%d,%d,%v), Ceiling says (%d,%d,%v)", x, gck, gcv, gcok, ck, cv, cok)
+	}
+}
+
+// TestReadPathInterleavedInvalid pins the fence around the ablation
+// layouts: the read view is clustered-only, so an interleaved array
+// publishes none and its probes report valid=false — a caller falls back
+// to the locked path — rather than misreading gapped slots as a run.
+func TestReadPathInterleavedInvalid(t *testing.T) {
+	cfg := BaselineConfig()
+	cfg.PageSlots = 32
+	a, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(0); i < 2_000; i++ {
+		if err := a.Insert(i, i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, valid := a.ReadFind(7); valid {
+		t.Error("ReadFind valid on an interleaved array")
+	}
+	if _, _, _, valid := a.ReadFloor(7); valid {
+		t.Error("ReadFloor valid on an interleaved array")
+	}
+	if _, _, _, valid := a.ReadCeiling(7); valid {
+		t.Error("ReadCeiling valid on an interleaved array")
 	}
 }
 

@@ -14,21 +14,19 @@ import (
 // consecutive insertions riding the engine's bottom-up bulk-load path,
 // which rebalances each touched window at most once.
 
+// Op is one operation of a batch — the log's own record type, so a
+// shard group goes to wal.Append as it is.
+type Op = wal.Op
+
 // OpKind discriminates batch operations.
-type OpKind uint8
+type OpKind = wal.OpKind
 
 const (
 	// OpPut inserts Key/Val (multiset semantics, like Insert).
-	OpPut OpKind = iota
+	OpPut = wal.OpPut
 	// OpDelete removes one occurrence of Key (Val ignored).
-	OpDelete
+	OpDelete = wal.OpDelete
 )
-
-// Op is one operation of a batch.
-type Op struct {
-	Kind     OpKind
-	Key, Val int64
-}
 
 // bulkMin is the smallest put run worth the bulk loader's sort and
 // multi-pass overhead; shorter runs go through point inserts.
@@ -42,10 +40,8 @@ type batchScratch struct {
 	homes        []int32
 	grouped      []Op
 	bulkK, bulkV []int64
-	// WAL staging scratch: the encoded form of one shard group and the
-	// commit-wave tickets collected across groups (waited on after the
-	// last shard lock is released).
-	walOps  []wal.Op
+	// The WAL commit-wave tickets collected across groups (waited on
+	// after the last shard lock is released).
 	tickets []wal.Ticket
 }
 
@@ -121,7 +117,7 @@ func (m *Map) ApplyBatch(ops []Op) (deleted int, err error) {
 		s.endWrite()
 		if e == nil && m.wal != nil {
 			var t wal.Ticket
-			if t, e = m.logGroup(s, j, group, &b.walOps); t.Ok() {
+			if t, e = m.logOps(s, j, group); t.Ok() {
 				b.tickets = append(b.tickets, t)
 			}
 		}

@@ -272,15 +272,17 @@ func (m *Map) beginRound() {
 
 // checkpointShard claims shard i's slice of the current round, if still
 // unclaimed, and checkpoints it at a quiesce point: deferred backlog
-// flushed, under the shard lock.
-func (m *Map) checkpointShard(i int) {
+// flushed, under the shard lock. It is the one per-shard checkpoint
+// step, shared by CheckpointAll's sweep and the pool-driven rounds
+// (MaintainShard); claimed reports whether this call did the slice.
+func (m *Map) checkpointShard(i int) (claimed bool, err error) {
 	d := m.dur
 	if d == nil || !d.pending[i].CompareAndSwap(true, false) {
-		return
+		return false, nil
 	}
 	s := &m.shards[i]
 	s.mu.Lock()
-	err := flushDeferred(s)
+	err = flushDeferred(s)
 	var epoch uint64
 	if err == nil {
 		// The checkpoint itself only reads the array and updates dirty
@@ -292,6 +294,7 @@ func (m *Map) checkpointShard(i int) {
 	}
 	s.mu.Unlock()
 	m.finishShardCheckpoint(i, epoch, err)
+	return true, err
 }
 
 // finishShardCheckpoint accounts one shard's checkpoint outcome and, on

@@ -156,13 +156,18 @@ type Map struct {
 
 // New builds a Map with len(seps)+1 shards, one fresh core.Array per
 // shard built from cfg. seps must be non-decreasing; equal separators
-// are allowed and simply leave the shard between them empty.
+// are allowed and simply leave the shard between them empty. cfg must
+// use the clustered layout — the only one the optimistic read path
+// (core.ReadFind and friends) understands.
 //
 // New fills shard state before the map is shared, so it runs without
 // shard locks (lockcheck's //rma:init escape).
 //
 //rma:init
 func New(cfg core.Config, seps []int64) (*Map, error) {
+	if cfg.Layout != core.LayoutClustered {
+		return nil, fmt.Errorf("shard: %w", core.ErrClusteredOnly)
+	}
 	for i := 1; i < len(seps); i++ {
 		if seps[i] < seps[i-1] {
 			return nil, fmt.Errorf("shard: separators must be non-decreasing, got %d after %d", seps[i], seps[i-1])
@@ -293,14 +298,12 @@ func (m *Map) DisableDeferredRebalancing() error {
 // backlog.
 //
 // When a checkpoint round is in flight (RequestCheckpoint) and shard
-// i's backlog is empty, the slice is the shard's checkpoint instead:
-// the quiesce point the durability protocol wants — no deferred windows
-// standing, nothing mid-rebalance — found for free inside the
-// maintenance sweep. The publish of the round's last shard runs after
-// the lock is released (see durable.go).
+// i's backlog is empty, the slice is the shard's checkpoint instead
+// (checkpointShard in durable.go): the quiesce point the durability
+// protocol wants — no deferred windows standing, nothing mid-rebalance —
+// found for free inside the maintenance sweep.
 func (m *Map) MaintainShard(i int) (bool, error) {
 	s := &m.shards[i]
-	d := m.dur
 	s.mu.Lock()
 	var did bool
 	var err error
@@ -312,18 +315,11 @@ func (m *Map) MaintainShard(i int) (bool, error) {
 		did, err = s.a.MaintainOne()
 		s.endWrite()
 	}
-	if err == nil && !did && d != nil && d.pending[i].CompareAndSwap(true, false) {
-		var epoch uint64
-		epoch, err = s.a.Checkpoint(d.keep[i])
-		if err == nil {
-			d.walFloors[i].Store(m.walFloorLocked())
-		}
-		s.mu.Unlock()
-		m.finishShardCheckpoint(i, epoch, err)
-		return true, err
-	}
 	s.advanceEpoch()
 	s.mu.Unlock()
+	if err == nil && !did {
+		return m.checkpointShard(i)
+	}
 	return did, err
 }
 

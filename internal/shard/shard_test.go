@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"errors"
 	"reflect"
 	"sort"
 	"testing"
@@ -95,6 +96,21 @@ func TestQuantileSeps(t *testing.T) {
 func TestNewRejectsDecreasingSeps(t *testing.T) {
 	if _, err := New(testConfig(), []int64{10, 5}); err == nil {
 		t.Fatal("New accepted decreasing separators")
+	}
+}
+
+// TestNewRejectsInterleaved pins the single-engine fence: the paper's
+// baseline layout is never sharded (the optimistic read view cannot read
+// it), so New refuses it instead of carrying it.
+func TestNewRejectsInterleaved(t *testing.T) {
+	cfg := core.BaselineConfig()
+	if _, err := New(cfg, UniformSeps(2)); !errors.Is(err, core.ErrClusteredOnly) {
+		t.Fatalf("New with the baseline config: want ErrClusteredOnly, got %v", err)
+	}
+	cfg = testConfig()
+	cfg.Layout = core.LayoutInterleaved
+	if _, err := New(cfg, nil); !errors.Is(err, core.ErrClusteredOnly) {
+		t.Fatalf("New with an interleaved layout: want ErrClusteredOnly, got %v", err)
 	}
 }
 

@@ -104,32 +104,23 @@ func (m *Map) LastCheckpoint() (rounds, lsn uint64) {
 	return m.dur.mapSeq.Load(), m.dur.publishedLSN.Load()
 }
 
-// logOne stages one operation for shard j and advances the shard's
-// replay floor. Caller holds s.mu — that lock is what makes the LSN
-// order equal the application order for the shard; the returned ticket
-// is waited on after release.
+// logOne stages one operation for shard j through the shard's one-op
+// scratch. Caller holds s.mu.
 //
 //rma:noalloc
 func (m *Map) logOne(s *cell, j int, op wal.Op) (wal.Ticket, error) {
 	s.wop[0] = op
-	t, err := m.wal.Append(j, s.wop[:])
-	if err != nil {
-		return wal.Ticket{}, err
-	}
-	s.a.SetWALLSN(t.LSN())
-	return t, nil
+	return m.logOps(s, j, s.wop[:])
 }
 
-// logGroup stages one record holding a batch group's operations for
-// shard j, reusing the caller's scratch for the conversion. Caller
-// holds s.mu.
-func (m *Map) logGroup(s *cell, j int, group []Op, scratch *[]wal.Op) (wal.Ticket, error) {
-	w := (*scratch)[:0]
-	for _, op := range group {
-		w = append(w, wal.Op{Kind: wal.OpKind(op.Kind), Key: op.Key, Val: op.Val})
-	}
-	*scratch = w
-	t, err := m.wal.Append(j, w)
+// logOps stages one record holding ops for shard j and advances the
+// shard's replay floor. Caller holds s.mu — that lock is what makes the
+// LSN order equal the application order for the shard; the returned
+// ticket is waited on after release.
+//
+//rma:noalloc
+func (m *Map) logOps(s *cell, j int, ops []wal.Op) (wal.Ticket, error) {
+	t, err := m.wal.Append(j, ops)
 	if err != nil {
 		return wal.Ticket{}, err
 	}

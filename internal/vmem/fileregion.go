@@ -1,4 +1,4 @@
-// File-backed region: the durable counterpart of the memfd MmapRegion.
+// File-backed region: the durable counterpart of Pages.
 //
 // A FileRegion stores physical pages in one named data file (pages.dat)
 // and the virtual→physical mapping in epoch-stamped, checksummed

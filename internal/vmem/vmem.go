@@ -40,18 +40,6 @@ import (
 // and consistent when it is returned.
 var ErrAllocFailed = errors.New("vmem: physical page allocation failed")
 
-// ErrRewireFailed wraps every errno failure of the kernel rewiring
-// substrate (MmapRegion): memfd_create, mmap, ftruncate. Callers match
-// it with errors.Is; the wrapped message carries the specific syscall
-// and errno.
-var ErrRewireFailed = errors.New("vmem: kernel rewiring syscall failed")
-
-// ErrRewireUnsupported reports that kernel memory rewiring is not
-// available on this platform (non-Linux, or a Linux architecture whose
-// memfd_create syscall number is not wired up). The portable Pages
-// substrate is the fallback and is always available.
-var ErrRewireUnsupported = errors.New("vmem: kernel memory rewiring not supported on this platform")
-
 // Pages is a virtual address space of int64 slots organized in fixed-size
 // pages with an explicit virtual-to-physical mapping.
 //

@@ -225,9 +225,12 @@ type diffBackend struct {
 
 // diffBackends returns the updatable backends under differential test,
 // including RMA configurations that exercise resizes and both threshold
-// presets at small segment sizes, and every Sharded option combination:
+// presets at small segment sizes, and every Sharded option combination
+// the facade can build: {update-, scan-oriented thresholds} x
 // {synchronous, background rebalancing} x {in-memory, durable,
-// durable + WAL}.
+// durable + WAL}. The paper's ablation engines (two-pass, even, other
+// indexes, interleaved) are no facade options; internal/core checks them
+// against its own oracle (configMatrix, navConfigs).
 func diffBackends(t *testing.T) map[string]diffBackend {
 	t.Helper()
 	mk := func(opts ...Option) diffBackend {
@@ -253,32 +256,35 @@ func diffBackends(t *testing.T) map[string]diffBackend {
 		sample[i] = int64(i) * 4000 / int64(len(sample))
 	}
 	backends := map[string]diffBackend{
-		"rma-default":      mk(WithSegmentCapacity(16), WithPageCapacity(64)),
+		"rma-default":      mk(geometry...),
 		"rma-scanoriented": mk(WithSegmentCapacity(8), WithPageCapacity(32), WithScanOrientedThresholds()),
-		"rma-norewire": mk(WithSegmentCapacity(16), WithPageCapacity(64),
-			WithMemoryRewiring(false), WithAdaptiveRebalancing(false)),
-		"abtree":     {om: NewABTree(16)},
-		"art":        {om: NewARTTree(16)},
-		"sharded-1":  {om: mkSharded(1, nil, geometry...)},
-		"sharded-64": {om: mkSharded(64, sample, geometry...)},
+		"abtree":           {om: NewABTree(16)},
+		"art":              {om: NewARTTree(16)},
+		"sharded-1":        {om: mkSharded(1, nil, geometry...)},
+		"sharded-64":       {om: mkSharded(64, sample, geometry...)},
 	}
-	for _, rebal := range []string{"sync", "async"} {
-		for _, store := range []string{"mem", "dur", "wal"} {
-			b := diffBackend{reopen: slices.Clone(geometry)}
-			if rebal == "async" {
-				b.reopen = append(b.reopen, WithBackgroundRebalancing(2))
+	for _, thresholds := range []string{"", "scan-"} {
+		for _, rebal := range []string{"sync", "async"} {
+			for _, store := range []string{"mem", "dur", "wal"} {
+				b := diffBackend{reopen: slices.Clone(geometry)}
+				if thresholds == "scan-" {
+					b.reopen = append(b.reopen, WithScanOrientedThresholds())
+				}
+				if rebal == "async" {
+					b.reopen = append(b.reopen, WithBackgroundRebalancing(2))
+				}
+				if store != "mem" {
+					b.dir = t.TempDir()
+					b.reopen = append(b.reopen, WithDurability(b.dir))
+				}
+				if store == "wal" {
+					// The differential stream checks content, not crash
+					// safety: let the OS schedule the log's fsyncs.
+					b.reopen = append(b.reopen, WithWAL(WALConfig{Fsync: "never"}))
+				}
+				b.om = mkSharded(5, sample, b.reopen...)
+				backends["sharded-"+thresholds+rebal+"-"+store] = b
 			}
-			if store != "mem" {
-				b.dir = t.TempDir()
-				b.reopen = append(b.reopen, WithDurability(b.dir))
-			}
-			if store == "wal" {
-				// The differential stream checks content, not crash
-				// safety: let the OS schedule the log's fsyncs.
-				b.reopen = append(b.reopen, WithWAL(WALConfig{Fsync: "never"}))
-			}
-			b.om = mkSharded(5, sample, b.reopen...)
-			backends["sharded-"+rebal+"-"+store] = b
 		}
 	}
 	return backends

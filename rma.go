@@ -14,8 +14,7 @@
 //     so each segment pair exposes one contiguous run and scans pay no
 //     per-slot gap checks;
 //   - a static, pointer-free index routing keys to segments — upgraded
-//     here to a branchless Eytzinger-layout descent by default, with
-//     the paper's exact Fig 5 index behind WithIndexKind;
+//     here to a branchless Eytzinger-layout descent;
 //   - memory rewiring: rebalances write each element once into spare
 //     pages and swap virtual page-table entries instead of copying twice;
 //   - adaptive rebalancing: a Detector recognizes skewed ("hammered")
@@ -119,68 +118,14 @@ func WithSegmentCapacity(b int) Option {
 	return func(o *options) { o.cfg.SegmentSlots = b }
 }
 
-// WithUpdateOrientedThresholds selects the update-oriented density
-// thresholds (rho1=0.08, rhoH=0.3, tauH=0.75, tau1=1, doubling resizes) —
-// the default, favouring update throughput.
-func WithUpdateOrientedThresholds() Option {
-	return func(o *options) { o.cfg.Thresholds = calibrator.UpdateOriented() }
-}
-
 // WithScanOrientedThresholds selects the scan-oriented thresholds
 // (rho1=0, rhoH=tauH=0.75, tau1=1, proportional resizes, forced shrink
 // below 50% fill): ~20% slower updates, denser array, faster scans and a
-// smaller footprint (Section III of the paper).
+// smaller footprint (Section III of the paper). The default is the
+// update-oriented set (rho1=0.08, rhoH=0.3, tauH=0.75, tau1=1, doubling
+// resizes).
 func WithScanOrientedThresholds() Option {
 	return func(o *options) { o.cfg.Thresholds = calibrator.ScanOriented() }
-}
-
-// WithAdaptiveRebalancing enables (default) or disables the adaptive
-// rebalancing of Section IV. Disabled, every rebalance spreads elements
-// evenly (the traditional policy).
-func WithAdaptiveRebalancing(on bool) Option {
-	return func(o *options) {
-		if on {
-			o.cfg.Adaptive = core.AdaptiveRMA
-		} else {
-			o.cfg.Adaptive = core.AdaptiveOff
-		}
-	}
-}
-
-// WithMemoryRewiring enables (default) or disables rewired rebalances.
-// Disabled, rebalances use the classic two-pass copy and resizes allocate
-// fresh zeroed memory.
-func WithMemoryRewiring(on bool) Option {
-	return func(o *options) {
-		if on {
-			o.cfg.Rebalance = core.RebalanceRewired
-		} else {
-			o.cfg.Rebalance = core.RebalanceTwoPass
-		}
-	}
-}
-
-// IndexKind selects the structure that routes keys to segments; see the
-// core kinds re-exported below.
-type IndexKind = core.IndexKind
-
-// The segment-index kinds accepted by WithIndexKind.
-const (
-	// IndexEytzinger (the default) stores separators in BFS order and
-	// descends branchlessly with software prefetch of the levels ahead.
-	IndexEytzinger = core.IndexEytzinger
-	// IndexStatic is the paper's pointer-free packed index (Fig 5).
-	IndexStatic = core.IndexStatic
-	// IndexDynamic is the traditional flat sorted side index.
-	IndexDynamic = core.IndexDynamic
-)
-
-// WithIndexKind selects the segment-index structure — the escape hatch
-// back to the paper's exact Fig 5 index (IndexStatic) or the
-// traditional side index (IndexDynamic) from the default branchless
-// Eytzinger descent.
-func WithIndexKind(k IndexKind) Option {
-	return func(o *options) { o.cfg.Index = k }
 }
 
 // WithPageCapacity sets the rewiring page size in slots (power of two,

@@ -1,6 +1,12 @@
 package rma
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"slices"
+	"strings"
 	"testing"
 
 	"rma/internal/workload"
@@ -35,9 +41,6 @@ func TestPublicOptions(t *testing.T) {
 		{},
 		{WithSegmentCapacity(64)},
 		{WithScanOrientedThresholds()},
-		{WithUpdateOrientedThresholds()},
-		{WithAdaptiveRebalancing(false)},
-		{WithMemoryRewiring(false)},
 		{WithSegmentCapacity(32), WithPageCapacity(128)},
 	} {
 		a, err := New(opts...)
@@ -59,6 +62,46 @@ func TestPublicOptions(t *testing.T) {
 	}
 	if _, err := New(WithSegmentCapacity(100)); err == nil {
 		t.Fatal("invalid B accepted")
+	}
+}
+
+// TestOptionSurfacePinned parses the package's own sources and pins the
+// exported option constructors. Every knob multiplies the configurations
+// the differential matrix must cover, so adding one has to be a
+// deliberate edit here (and a new row in ordered_map_diff_test.go), not
+// drift; the paper's ablation axes live on core.Config, not here.
+func TestOptionSurfacePinned(t *testing.T) {
+	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, f := range pkgs["rma"].Files {
+		for _, d := range f.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok || fd.Recv != nil || !strings.HasPrefix(fd.Name.Name, "With") ||
+				fd.Type.Results == nil || len(fd.Type.Results.List) != 1 {
+				continue
+			}
+			if id, ok := fd.Type.Results.List[0].Type.(*ast.Ident); ok && id.Name == "Option" {
+				got = append(got, fd.Name.Name)
+			}
+		}
+	}
+	slices.Sort(got)
+	want := []string{
+		"WithBackgroundRebalancing",
+		"WithDurability",
+		"WithLockFreeReads", // empty deprecated shim for the frozen bench/
+		"WithPageCapacity",
+		"WithScanOrientedThresholds",
+		"WithSegmentCapacity",
+		"WithWAL",
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("exported option constructors:\n got %v\nwant %v", got, want)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"rma/internal/rebal"
 	"rma/internal/shard"
+	"rma/internal/wal"
 )
 
 // Sharded is the concurrent serving layer: an ordered map that
@@ -82,6 +83,18 @@ func newSharded(seps []int64, opts []Option) (*Sharded, error) {
 	for _, fn := range opts {
 		fn(&o)
 	}
+	// The WAL config is checked before anything touches the disk, so a
+	// bad one leaves no directory tree behind.
+	var wo wal.Options
+	if o.wal != nil {
+		if o.durDir == "" {
+			return nil, fmt.Errorf("rma: WithWAL requires WithDurability")
+		}
+		var err error
+		if wo, err = o.wal.walOptions(); err != nil {
+			return nil, err
+		}
+	}
 	m, err := shard.New(o.cfg, seps)
 	if err != nil {
 		return nil, err
@@ -92,14 +105,8 @@ func newSharded(seps []int64, opts []Option) (*Sharded, error) {
 		}
 	}
 	if o.wal != nil {
-		if o.durDir == "" {
-			return nil, fmt.Errorf("rma: WithWAL requires WithDurability")
-		}
-		wo, err := o.wal.walOptions()
-		if err != nil {
-			return nil, err
-		}
 		if err := m.EnableWAL(walDirFor(o.durDir), wo, o.wal.policy()); err != nil {
+			m.CloseDurability()
 			return nil, err
 		}
 	}

@@ -509,7 +509,13 @@ func TestWALRequiresDurability(t *testing.T) {
 	if _, err := NewSharded(2, WithWAL(WALConfig{})); err == nil {
 		t.Fatal("WithWAL without WithDurability must fail")
 	}
-	if _, err := NewSharded(2, WithDurability(t.TempDir()), WithWAL(WALConfig{Fsync: "sometimes"})); err == nil {
+	// A bad WAL config is refused before anything touches the disk: no
+	// half-built tree, no shard regions left open behind the error.
+	dir := filepath.Join(t.TempDir(), "store")
+	if _, err := NewSharded(2, WithDurability(dir), WithWAL(WALConfig{Fsync: "bogus"})); err == nil {
 		t.Fatal("unknown fsync policy must fail")
+	}
+	if _, err := os.Stat(dir); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("failed NewSharded left %s behind (stat: %v)", dir, err)
 	}
 }
