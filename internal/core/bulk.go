@@ -266,7 +266,6 @@ func (a *Array) rebalanceMerge(lo, hi int, run []pair) error {
 			a.keys.Swap(page0+i, sparesK[i])
 			a.vals.Swap(page0+i, sparesV[i])
 		}
-		a.trimPool()
 		a.stats.ElementCopies += uint64(cnt)
 	} else {
 		// Gather the merged stream into scratch, then write back.

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"rma/internal/vmem"
 	"rma/internal/workload"
 )
 
@@ -36,12 +37,15 @@ func TestTargetsScratchReuses(t *testing.T) {
 // TestInsertRebalanceAllocationFree proves the acceptance criterion: a
 // steady-state Insert that triggers a (non-resizing) window rebalance
 // performs zero heap allocations on the clustered layout, in both
-// rebalance modes.
+// rebalance modes. The gated row advances an epoch gate after every
+// insert, as the shard layer does, so retired pages pass through limbo
+// into the bounded spare pool on the measured path.
 func TestInsertRebalanceAllocationFree(t *testing.T) {
 	for _, mode := range []struct {
-		name string
-		m    RebalanceMode
-	}{{"rewired", RebalanceRewired}, {"twopass", RebalanceTwoPass}} {
+		name  string
+		m     RebalanceMode
+		gated bool
+	}{{"rewired", RebalanceRewired, false}, {"twopass", RebalanceTwoPass, false}, {"rewired-gated", RebalanceRewired, true}} {
 		t.Run(mode.name, func(t *testing.T) {
 			cfg := testConfig() // B=8, 32-slot pages: windows >= 4 segments rewire
 			cfg.Adaptive = AdaptiveOff
@@ -50,6 +54,19 @@ func TestInsertRebalanceAllocationFree(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			var gate *vmem.EpochGate
+			if mode.gated {
+				gate = vmem.NewEpochGate()
+				a.AttachEpochGate(gate)
+			}
+			insert := func(k, v int64) {
+				if err := a.Insert(k, v); err != nil {
+					t.Fatal(err)
+				}
+				if gate != nil && gate.LimboPages() > 0 {
+					gate.TryAdvance()
+				}
+			}
 
 			// Reach a steady state: enough elements that rebalances and
 			// resizes have warmed every scratch buffer and the spare
@@ -57,14 +74,10 @@ func TestInsertRebalanceAllocationFree(t *testing.T) {
 			// have maximal headroom before the next resize.
 			rng := workload.NewUniform(7, 0)
 			for i := 0; i < 6000; i++ {
-				if err := a.Insert(rng.Next(), int64(i)); err != nil {
-					t.Fatal(err)
-				}
+				insert(rng.Next(), int64(i))
 			}
 			for grows := a.Stats().Grows; a.Stats().Grows == grows; {
-				if err := a.Insert(rng.Next(), 1); err != nil {
-					t.Fatal(err)
-				}
+				insert(rng.Next(), 1)
 			}
 			// Fill to 80% of the root threshold: dense enough that
 			// segment overflows (hence rebalances) fire regularly during
@@ -72,9 +85,7 @@ func TestInsertRebalanceAllocationFree(t *testing.T) {
 			// resize.
 			_, tauRoot := a.cal.At(a.cal.Height())
 			for float64(a.Size()) < 0.8*tauRoot*float64(a.Capacity()) {
-				if err := a.Insert(rng.Next(), 1); err != nil {
-					t.Fatal(err)
-				}
+				insert(rng.Next(), 1)
 			}
 			headroom := int(tauRoot*float64(a.Capacity())) - a.Size()
 			const perRun, runs = 64, 5
@@ -85,9 +96,7 @@ func TestInsertRebalanceAllocationFree(t *testing.T) {
 			before := a.Stats()
 			allocs := testing.AllocsPerRun(runs, func() {
 				for i := 0; i < perRun; i++ {
-					if err := a.Insert(rng.Next(), 1); err != nil {
-						t.Fatal(err)
-					}
+					insert(rng.Next(), 1)
 				}
 			})
 			after := a.Stats()

@@ -161,7 +161,6 @@ func (a *Array) redistributeRewired(lo, hi int, targets []int, cnt int) error {
 		a.keys.Swap(page0+i, sparesK[i])
 		a.vals.Swap(page0+i, sparesV[i])
 	}
-	a.trimPool()
 
 	a.applyCards(lo, targets)
 	return nil
@@ -311,17 +310,6 @@ func (a *Array) writeInterleaved(lo int, targets []int, cnt int) {
 			pos++
 		}
 	}
-}
-
-// trimPool caps the spare-page pool. The paper's hard bound is the size
-// of the array itself; keeping the pool at 1/8 of the mapped pages keeps
-// the steady-state footprint near the array's own size while still
-// recycling pages across rebalances (resizes fall back to fresh, zeroed
-// allocations for the part the pool cannot cover).
-func (a *Array) trimPool() {
-	maxSpares := a.keys.NumPages()/8 + 1
-	a.keys.TrimSpares(maxSpares)
-	a.vals.TrimSpares(maxSpares)
 }
 
 // refreshSeparators recomputes the separators of segments [lo, hi) after

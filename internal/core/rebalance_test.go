@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"rma/internal/vmem"
 	"rma/internal/workload"
 )
 
@@ -243,5 +244,115 @@ func TestComplexityGrowthInsertUniform(t *testing.T) {
 	if large > small*6 {
 		t.Fatalf("per-insert work grew from %.1f to %.1f (x%.1f): super-polylog",
 			small, large, large/small)
+	}
+}
+
+// TestGatedPoolMatchesUngated: an epoch gate delays when retired pages
+// rejoin the spare pool, but must not change how many it keeps. The
+// writer advances the gate after every insert, as the shard layer does,
+// and the gated array must end within 1% of the ungated one's footprint
+// with its pool inside the bound and no more fresh page allocations.
+func TestGatedPoolMatchesUngated(t *testing.T) {
+	const n = 1 << 20
+	load := func(gated bool) *Array {
+		a := mustNew(t, DefaultConfig())
+		var g *vmem.EpochGate
+		if gated {
+			g = vmem.NewEpochGate()
+			a.AttachEpochGate(g)
+		}
+		rng := workload.NewUniform(3, 0)
+		for i := 0; i < n; i++ {
+			mustInsert(t, a, rng.Next(), int64(i))
+			if g != nil && g.LimboPages() > 0 {
+				g.TryAdvance()
+			}
+		}
+		return a
+	}
+	ungated, gated := load(false), load(true)
+	if g := gated.Stats().Grows; g < 3 {
+		t.Fatalf("only %d grows; the test needs several", g)
+	}
+	fu, fg := ungated.FootprintBytes(), gated.FootprintBytes()
+	t.Logf("bytes/key: ungated %.2f, gated %.2f", float64(fu)/n, float64(fg)/n)
+	if d := float64(fg - fu); d > 0.01*float64(fu) || -d > 0.01*float64(fu) {
+		t.Errorf("gated footprint %d B, ungated %d B: more than 1%% apart", fg, fu)
+	}
+	for _, sp := range []struct {
+		name      string
+		gated, un *vmem.Pages
+	}{{"keys", gated.keys, ungated.keys}, {"vals", gated.vals, ungated.vals}} {
+		if s, b := sp.gated.SparePages(), sp.gated.NumPages()/8+1; s > b {
+			t.Errorf("%s: gated pool holds %d pages, bound %d", sp.name, s, b)
+		}
+		fg, fu := sp.gated.Stats().FreshAllocs, sp.un.Stats().FreshAllocs
+		t.Logf("%s: fresh allocs gated %d, ungated %d", sp.name, fg, fu)
+		if fg > fu {
+			t.Errorf("%s: gated array allocated %d fresh pages, ungated %d", sp.name, fg, fu)
+		}
+	}
+}
+
+// TestRewiredGrowMapsItsTail: a doubling grow writes every element once
+// into newPages acquired pages, swaps in the oldPages that replace
+// mapped pages and appends the rest: 2×oldPages swaps over the two
+// spaces and newPages acquisitions per space, not newPages swaps plus
+// newPages−oldPages placeholder pages. The appended pages are born
+// dirty, so a checkpoint after the grow persists every key.
+func TestRewiredGrowMapsItsTail(t *testing.T) {
+	cfg := smallConfig()
+	a, dir := durableArray(t, cfg)
+	want := make(map[int64]int64)
+	rng := workload.NewUniform(11, 0)
+	for i := 0; i < 3000; i++ {
+		k := rng.Next()
+		mustInsert(t, a, k, k^7)
+		want[k] = k ^ 7
+	}
+	if _, err := a.Checkpoint(0); err != nil {
+		t.Fatal(err)
+	}
+	oldPages := a.keys.NumPages()
+	swaps := a.Stats().PageSwaps
+	before := []vmem.Stats{a.keys.Stats(), a.vals.Stats()}
+	if err := a.grow(); err != nil {
+		t.Fatal(err)
+	}
+	newPages := a.keys.NumPages()
+	if newPages != 2*oldPages {
+		t.Fatalf("grow mapped %d pages from %d; want a doubling", newPages, oldPages)
+	}
+	if got := a.Stats().PageSwaps - swaps; got != uint64(2*oldPages) {
+		t.Errorf("doubling grow made %d page swaps, want 2×%d", got, oldPages)
+	}
+	for i, sp := range []*vmem.Pages{a.keys, a.vals} {
+		s := sp.Stats()
+		if got := s.Swaps - before[i].Swaps; got != uint64(oldPages) {
+			t.Errorf("space %d: %d swaps, want %d", i, got, oldPages)
+		}
+		got := s.FreshAllocs + s.PoolReuses - before[i].FreshAllocs - before[i].PoolReuses
+		if got != uint64(newPages) {
+			t.Errorf("space %d: acquired %d pages, want %d", i, got, newPages)
+		}
+		for v := oldPages; v < newPages; v++ {
+			if !sp.IsDirty(v) {
+				t.Fatalf("space %d: appended page %d is not dirty", i, v)
+			}
+		}
+	}
+	if _, err := a.Checkpoint(0); err != nil {
+		t.Fatal(err)
+	}
+	a.Region().Close()
+	b := reopen(t, dir, cfg)
+	got := collect(t, b)
+	if len(got) != len(want) {
+		t.Fatalf("reopened %d keys, want %d", len(got), len(want))
+	}
+	for k, v := range want {
+		if got[k] != v {
+			t.Fatalf("key %d: reopened value %d, want %d", k, got[k], v)
+		}
 	}
 }

@@ -30,7 +30,7 @@ func (a *Array) shrink() error {
 //
 // The paper treats a resize as a rebalance whose window is the whole
 // array: with rewiring, the destination is a set of spare physical pages
-// (absorbing the existing buffer pool first) that are swapped in after a
+// (absorbing the existing buffer pool first) that are mapped in after a
 // single copy per element; without rewiring, a fresh runtime-zeroed
 // allocation pays the "acquiring new zeroed physical pages" cost that
 // Fig 14's rewiring step eliminates.
@@ -84,29 +84,13 @@ func (a *Array) resizeTo(newCap int, extra []pair) error {
 	return nil
 }
 
-// resizeRewired redistributes into acquired spare pages and swaps them
-// in, reusing pooled physical pages (no zeroing) wherever possible.
+// resizeRewired redistributes into acquired spare pages, reusing pooled
+// physical pages (no zeroing) wherever possible. Pages that replace a
+// mapped page are swapped in; a grow appends the rest directly.
 func (a *Array) resizeRewired(newSegs, newB, newPages int, targets []int, extra []pair) error {
 	oldPages := a.keys.NumPages()
-
-	// Extend the virtual address space first (cheap to undo on failure).
-	if newPages > oldPages {
-		if err := a.keys.Grow(newPages - oldPages); err != nil {
-			a.stats.AllocFailures++
-			return err
-		}
-		if err := a.vals.Grow(newPages - oldPages); err != nil {
-			a.keys.Truncate(oldPages)
-			a.stats.AllocFailures++
-			return err
-		}
-	}
 	sparesK, err := a.keys.AcquireSpares(newPages)
 	if err != nil {
-		if newPages > oldPages {
-			a.keys.Truncate(oldPages)
-			a.vals.Truncate(oldPages)
-		}
 		a.stats.AllocFailures++
 		return err
 	}
@@ -114,10 +98,6 @@ func (a *Array) resizeRewired(newSegs, newB, newPages int, targets []int, extra 
 	if err != nil {
 		for _, pg := range sparesK {
 			a.keys.ReleaseSpare(pg)
-		}
-		if newPages > oldPages {
-			a.keys.Truncate(oldPages)
-			a.vals.Truncate(oldPages)
 		}
 		a.stats.AllocFailures++
 		return err
@@ -127,15 +107,19 @@ func (a *Array) resizeRewired(newSegs, newB, newPages int, targets []int, extra 
 		func(page int) []int64 { return sparesK[page] },
 		func(page int) []int64 { return sparesV[page] })
 
-	for i := 0; i < newPages; i++ {
+	// Append before the swaps: after a Swap the spare slices may no longer
+	// be touched except as Swap arguments (the page lifecycle rmavet checks).
+	swapped := min(oldPages, newPages)
+	a.keys.Append(sparesK[swapped:])
+	a.vals.Append(sparesV[swapped:])
+	for i := 0; i < swapped; i++ {
 		a.keys.Swap(i, sparesK[i])
 		a.vals.Swap(i, sparesV[i])
 	}
-	if newPages < a.keys.NumPages() {
+	if newPages < oldPages {
 		a.keys.Truncate(newPages)
 		a.vals.Truncate(newPages)
 	}
-	a.trimPool()
 	return nil
 }
 

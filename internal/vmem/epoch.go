@@ -14,7 +14,8 @@ import "sync/atomic"
 // is a retry-storm problem rather than a safety problem; the gate turns
 // the storm back into quiet: retired pages sit in a limbo list until
 // every reader that could have seen the old mapping has provably left,
-// and only then rejoin the spare pool.
+// and only then rejoin the spare pool — through ReleaseSpare, so only up
+// to the pool's bound; the rest are dropped for the garbage collector.
 //
 // The scheme is the classic two-bucket parity EBR:
 //
@@ -93,9 +94,9 @@ func (g *EpochGate) Retire(owner *Pages, pg []int64) {
 
 // TryAdvance attempts one epoch advance, freeing every limbo page whose
 // retirement epoch is at least two advances old (see the type comment
-// for the safety argument). It fails — harmlessly, to be retried at the
-// next quiesce point — while a reader still pins the bucket the next
-// epoch would reuse. Must run under the same shard write lock that
+// for the safety argument) into its owner's bounded spare pool. It
+// fails — harmlessly, to be retried at the next quiesce point — while a
+// reader still pins the bucket the next epoch would reuse. Must run under the same shard write lock that
 // serializes Retire.
 func (g *EpochGate) TryAdvance() bool {
 	e := g.epoch.Load()

@@ -21,7 +21,10 @@
 //     make([]int64, n) is always zeroed by the runtime, and the pool
 //     skips it);
 //   - growing the address space absorbs the existing spare buffers first,
-//     as the paper does when expanding the RMA.
+//     as the paper does when expanding the RMA;
+//   - the spare pool is bounded by the array's own size, as the paper
+//     bounds its buffer: every page entering it passes release, which
+//     drops it at spareBound, so the bound holds with or without a gate.
 //
 // The package counts copies, swaps, fresh allocations and zeroed slots so
 // benchmarks can expose the one-copy-vs-two-copy asymmetry that the
@@ -59,12 +62,12 @@ type Pages struct {
 	// set when virtual page v's content may have changed since the last
 	// FileRegion checkpoint. nil until EnableDirtyTracking — marking is a
 	// nil-check plus a bit set, so the hot write paths stay branch-cheap
-	// and allocation-free whether durability is attached or not. Swap and
-	// Grow mark automatically (a rewired page always carries new content);
-	// in-place writes through Page slices are invisible here, so callers
-	// that mutate page content directly mark via MarkDirty/MarkDirtyRange
-	// (internal/core does so in cardAdd and applyCards, which every
-	// content-changing path passes through).
+	// and allocation-free whether durability is attached or not. Swap,
+	// Grow and Append mark automatically (a rewired page always carries
+	// new content); in-place writes through Page slices are invisible
+	// here, so callers that mutate page content directly mark via
+	// MarkDirty/MarkDirtyRange (internal/core does so in cardAdd and
+	// applyCards, which every content-changing path passes through).
 	dirty []uint64
 
 	// gate, when non-nil, intercepts page retirement: Swap and Truncate
@@ -139,15 +142,19 @@ func (p *Pages) EnableDirtyTracking() {
 // DirtyTracking reports whether the dirty bitmap is enabled.
 func (p *Pages) DirtyTracking() bool { return p.dirty != nil }
 
-// growDirty extends the dirty bitmap to cover the current table length.
-func (p *Pages) growDirty() {
-	need := (len(p.table)+63)/64 + 1
-	if need <= len(p.dirty) {
+// growDirty extends the dirty bitmap to the table length and marks pages
+// [old, len) dirty: recycled pages carry stale content, fresh ones are in
+// no checkpoint yet. No-op when tracking is off.
+func (p *Pages) growDirty(old int) {
+	if p.dirty == nil {
 		return
 	}
-	d := make([]uint64, need) //rma:alloc-ok — bitmap growth rides the cold resize machinery
-	copy(d, p.dirty)
-	p.dirty = d
+	if need := (len(p.table)+63)/64 + 1; need > len(p.dirty) {
+		d := make([]uint64, need) //rma:alloc-ok — bitmap growth rides the cold resize machinery
+		copy(d, p.dirty)
+		p.dirty = d
+	}
+	p.MarkDirtyRange(old, len(p.table))
 }
 
 // MarkDirty records that virtual page v's content may have changed
@@ -238,13 +245,13 @@ func (p *Pages) alloc() ([]int64, error) {
 //
 // Note the batching trade-off: pages carved from one backing share it,
 // so the garbage collector reclaims the batch only once every page of it
-// has been dropped. Pages in the live table are retained anyway; only a
-// trimmed pool can briefly over-retain.
+// has been dropped: a page the pool bound drops leaves FootprintBytes at
+// once but stays on the heap while any page of its batch is live.
 func (p *Pages) allocAppend(out [][]int64, n int) ([][]int64, error) {
 	base := len(out)
 	for n > 0 && len(p.spares) > 0 {
 		if p.failAfter == 0 {
-			p.spares = append(p.spares, out[base:]...) //rma:cap-ok — spare-pool capacity is amortized
+			p.release(out[base:]...)
 			return out[:base], ErrAllocFailed
 		}
 		if p.failAfter > 0 {
@@ -266,7 +273,7 @@ func (p *Pages) allocAppend(out [][]int64, n int) ([][]int64, error) {
 		for ; n > 0; n-- {
 			pg, err := p.alloc()
 			if err != nil {
-				p.spares = append(p.spares, out[base:]...) //rma:cap-ok — spare-pool capacity is amortized
+				p.release(out[base:]...)
 				return out[:base], err
 			}
 			out = append(out, pg) //rma:cap-ok — out is pre-sized by AcquireSpares
@@ -288,8 +295,7 @@ func (p *Pages) allocAppend(out [][]int64, n int) ([][]int64, error) {
 // Grow extends the address space by n virtual pages, absorbing spare
 // buffers first as the paper does when expanding the RMA. On failure the
 // address space is unchanged. With dirty tracking on, the new pages are
-// born dirty: recycled spare pages carry stale content and fresh pages
-// are not yet in any checkpoint.
+// born dirty.
 func (p *Pages) Grow(n int) error {
 	table, err := p.allocAppend(p.table, n)
 	if err != nil {
@@ -297,34 +303,46 @@ func (p *Pages) Grow(n int) error {
 	}
 	old := len(p.table)
 	p.table = table
-	if p.dirty != nil {
-		p.growDirty()
-		p.MarkDirtyRange(old, len(p.table))
-	}
+	p.growDirty(old)
 	return nil
+}
+
+// Append maps pgs, pages already filled by the caller (from
+// AcquireSpares), as new virtual pages at the end of the address space.
+// With dirty tracking on, they are born dirty.
+func (p *Pages) Append(pgs [][]int64) {
+	for _, pg := range pgs {
+		if len(pg) != p.pageSlots {
+			panic("vmem: Append of foreign page")
+		}
+	}
+	old := len(p.table)
+	p.table = append(p.table, pgs...)
+	p.growDirty(old)
 }
 
 // Truncate shrinks the address space to n virtual pages; the unmapped
 // physical pages return to the spare pool (or, with an epoch gate
-// attached, to its limbo list until readers quiesce).
+// attached, to its limbo list until readers quiesce). The pool bound
+// shrinks with the table, so pooled pages beyond it are dropped first.
 func (p *Pages) Truncate(n int) {
 	if n > len(p.table) {
 		panic(fmt.Sprintf("vmem: Truncate(%d) beyond %d pages", n, len(p.table)))
 	}
-	if p.gate != nil {
-		for i := n; i < len(p.table); i++ {
-			p.gate.Retire(p, p.table[i])
-		}
-	} else {
-		p.spares = append(p.spares, p.table[n:]...) //rma:cap-ok — spare-pool capacity is amortized
-	}
-	for i := n; i < len(p.table); i++ {
-		p.table[i] = nil
-		if p.dirty != nil {
-			p.dirty[i>>6] &^= 1 << (uint(i) & 63)
-		}
-	}
+	retired := p.table[n:]
 	p.table = p.table[:n]
+	if b := p.spareBound(); len(p.spares) > b {
+		clear(p.spares[b:])
+		p.spares = p.spares[:b]
+	}
+	for i, pg := range retired {
+		retired[i] = nil
+		if p.dirty != nil {
+			v := n + i
+			p.dirty[v>>6] &^= 1 << (uint(v) & 63)
+		}
+		p.retire(pg)
+	}
 }
 
 // AcquireSpare detaches one spare physical page for the caller to fill.
@@ -351,12 +369,12 @@ func (p *Pages) AcquireSpares(n int) ([][]int64, error) {
 	return out, nil
 }
 
-// ReleaseSpare returns a detached page to the pool unused.
+// ReleaseSpare returns a detached page to the pool unused (see release).
 func (p *Pages) ReleaseSpare(pg []int64) {
 	if len(pg) != p.pageSlots {
 		panic("vmem: ReleaseSpare of foreign page")
 	}
-	p.spares = append(p.spares, pg) //rma:cap-ok — spare-pool capacity is amortized
+	p.release(pg)
 }
 
 // Swap installs pg as the physical page of virtual page v and returns the
@@ -368,28 +386,37 @@ func (p *Pages) Swap(v int, pg []int64) {
 	}
 	old := p.table[v]
 	p.table[v] = pg
-	if p.gate != nil {
-		p.gate.Retire(p, old)
-	} else {
-		p.spares = append(p.spares, old) //rma:cap-ok — spare-pool capacity is amortized
-	}
+	p.retire(old)
 	p.stats.Swaps++
 	if p.dirty != nil {
 		p.dirty[v>>6] |= 1 << (uint(v) & 63)
 	}
 }
 
-// TrimSpares caps the spare pool at max pages, dropping the excess for
-// the garbage collector to reclaim. The paper applies the same cap: the
-// buffer space may not exceed the memory used by the array itself.
-func (p *Pages) TrimSpares(max int) {
-	if len(p.spares) <= max {
+// retire sends a page just unmapped to the epoch gate's limbo when one is
+// attached (it reaches the pool later, through ReleaseSpare), else pools it.
+func (p *Pages) retire(pg []int64) {
+	if p.gate != nil {
+		p.gate.Retire(p, pg)
 		return
 	}
-	for i := max; i < len(p.spares); i++ {
-		p.spares[i] = nil
+	p.release(pg)
+}
+
+// spareBound is the most pages the pool may hold: an eighth of the mapped
+// pages, plus one. The paper caps its buffer at the array's own size; an
+// eighth keeps the footprint near that while still recycling pages.
+func (p *Pages) spareBound() int { return len(p.table)/8 + 1 }
+
+// release is the one landing point of the spare pool: every page that
+// enters it comes through here, and one arriving at a full pool is
+// dropped for the garbage collector.
+func (p *Pages) release(pgs ...[]int64) {
+	for _, pg := range pgs {
+		if len(p.spares) < p.spareBound() {
+			p.spares = append(p.spares, pg) //rma:cap-ok — the pool is bounded; its capacity is amortized
+		}
 	}
-	p.spares = p.spares[:max]
 }
 
 // AttachEpochGate routes this space's page retirement (Swap, Truncate)

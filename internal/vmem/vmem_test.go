@@ -1,6 +1,7 @@
 package vmem
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -74,10 +75,10 @@ func TestSwapIsRewiringNotCopying(t *testing.T) {
 
 func TestGrowAbsorbsSpares(t *testing.T) {
 	p := New(8)
-	if err := p.Grow(4); err != nil {
+	if err := p.Grow(10); err != nil {
 		t.Fatal(err)
 	}
-	p.Truncate(2) // two pages to the pool
+	p.Truncate(8) // two pages to the pool, which 8 mapped pages bound at 2
 	if p.SparePages() != 2 {
 		t.Fatalf("expected 2 spares, got %d", p.SparePages())
 	}
@@ -102,23 +103,6 @@ func TestTruncatePanicsBeyondSize(t *testing.T) {
 		}
 	}()
 	p.Truncate(2)
-}
-
-func TestTrimSpares(t *testing.T) {
-	p := New(8)
-	_ = p.Grow(10)
-	p.Truncate(2)
-	if p.SparePages() != 8 {
-		t.Fatalf("want 8 spares, got %d", p.SparePages())
-	}
-	p.TrimSpares(3)
-	if p.SparePages() != 3 {
-		t.Fatalf("want 3 spares after trim, got %d", p.SparePages())
-	}
-	p.TrimSpares(5) // no-op when already below cap
-	if p.SparePages() != 3 {
-		t.Fatalf("trim below cap should be a no-op")
-	}
 }
 
 func TestAllocFailureLeavesSpaceIntact(t *testing.T) {
@@ -149,8 +133,8 @@ func TestAllocFailureLeavesSpaceIntact(t *testing.T) {
 
 func TestAllocFailureMidBatchReturnsPartialToPool(t *testing.T) {
 	p := New(8)
-	_ = p.Grow(4)
-	p.Truncate(0) // 4 spares
+	_ = p.Grow(36)
+	p.Truncate(32) // 4 spares, under the bound of 32/8+1
 	p.InjectAllocFailure(2)
 	if _, err := p.AcquireSpares(4); err != ErrAllocFailed {
 		t.Fatalf("want ErrAllocFailed, got %v", err)
@@ -162,16 +146,90 @@ func TestAllocFailureMidBatchReturnsPartialToPool(t *testing.T) {
 }
 
 func TestFootprintAccountsSpares(t *testing.T) {
+	const pageBytes = 128 * 8
 	p := New(128)
-	_ = p.Grow(8)
-	full := p.FootprintBytes()
-	p.Truncate(4)
-	if p.FootprintBytes() < full {
-		t.Fatal("truncate must not shrink physical footprint (pages pooled)")
+	_ = p.Grow(24)
+	p.Truncate(16) // 3 of the 8 unmapped pages pooled: the bound for 16
+	before := p.FootprintBytes()
+	p.Truncate(8) // the bound falls to 2: 8 unmapped pages and 1 pooled one dropped
+	if got, want := before-p.FootprintBytes(), int64(9*pageBytes); got != want {
+		t.Fatalf("truncate freed %d bytes, want %d: pooled pages count, dropped ones do not", got, want)
 	}
-	p.TrimSpares(0)
-	if p.FootprintBytes() >= full {
-		t.Fatal("trimming spares must shrink the footprint")
+	before = p.FootprintBytes()
+	if _, err := p.AcquireSpare(); err != nil {
+		t.Fatal(err)
+	}
+	if got := before - p.FootprintBytes(); got != pageBytes {
+		t.Fatalf("detaching a spare freed %d bytes, want %d", got, pageBytes)
+	}
+}
+
+// TestSparePoolBound: the pool never holds more than NumPages()/8+1
+// pages after any operation that feeds it, with or without an epoch
+// gate (drained by TryAdvance after every step), and the steps offer it
+// enough pages to reach the bound.
+func TestSparePoolBound(t *testing.T) {
+	swapAll := func(p *Pages) {
+		spares, err := p.AcquireSpares(p.NumPages())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v := range spares {
+			p.Swap(v, spares[v])
+		}
+	}
+	truncate := func(n int) func(p *Pages) { return func(p *Pages) { p.Truncate(n) } }
+	releaseMany := func(p *Pages) {
+		for i := 0; i < 64; i++ {
+			p.ReleaseSpare(make([]int64, p.PageSlots()))
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		steps []func(p *Pages)
+	}{
+		{"Swap", []func(*Pages){swapAll}},
+		{"Truncate", []func(*Pages){truncate(16)}},
+		// The pool fills at 64 pages' bound, then Truncate lowers it.
+		{"SwapThenTruncate", []func(*Pages){swapAll, truncate(8)}},
+		{"ReleaseSpare", []func(*Pages){releaseMany}},
+	} {
+		for _, gated := range []bool{false, true} {
+			name := tc.name + "/ungated"
+			if gated {
+				name = tc.name + "/gated"
+			}
+			t.Run(name, func(t *testing.T) {
+				p := New(8)
+				if err := p.Grow(64); err != nil {
+					t.Fatal(err)
+				}
+				var g *EpochGate
+				if gated {
+					g = NewEpochGate()
+					p.AttachEpochGate(g)
+				}
+				check := func(after string) {
+					t.Helper()
+					if bound := p.NumPages()/8 + 1; p.SparePages() > bound {
+						t.Fatalf("after %s: %d spares, bound %d", after, p.SparePages(), bound)
+					}
+				}
+				for i, step := range tc.steps {
+					step(p)
+					check(fmt.Sprintf("step %d", i))
+					for g != nil && g.LimboPages() > 0 {
+						if !g.TryAdvance() {
+							t.Fatal("advance failed with no readers")
+						}
+						check("TryAdvance")
+					}
+				}
+				if bound := p.NumPages()/8 + 1; p.SparePages() != bound {
+					t.Fatalf("pool settled at %d, want the bound %d: the steps never filled it", p.SparePages(), bound)
+				}
+			})
+		}
 	}
 }
 
@@ -197,7 +255,14 @@ func TestPageTableInvariant(t *testing.T) {
 					p.Swap(int(op)%p.NumPages(), sp)
 				}
 			case 3:
-				p.TrimSpares(int(op % 8))
+				sp, err := p.AcquireSpares(int(op%3) + 1)
+				if err != nil {
+					return false
+				}
+				p.Append(sp)
+			}
+			if p.SparePages() > p.NumPages()/8+1 {
+				return false // the pool outgrew its bound
 			}
 		}
 		seen := map[*int64]bool{}
