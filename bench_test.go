@@ -1,7 +1,7 @@
 // Benchmarks: one per figure of the paper's evaluation. Each benchmark
 // exercises the figure's main axis at a laptop scale (fixtures of 2^20
 // elements); the full series, sweeps and tables are regenerated by
-// cmd/rmabench, and EXPERIMENTS.md records both against the paper.
+// cmd/rmabench (`rmabench -exp all`).
 //
 // Run: go test -bench=. -benchmem
 package rma

@@ -6,22 +6,13 @@
 //	rmabench -exp fig14 -n 1048576
 //	rmabench -exp all -n 262144 -out results.txt
 //
-// Experiments: fig01a fig01b fig01c fig10 fig11a fig11b fig12 fig13a
-// fig13b fig14 backends hotpath shards, or "all". Output is TSV with one
-// block per figure; the series names match the paper's legends.
-// EXPERIMENTS.md interprets the shapes against the paper's reported
-// results. The "backends" experiment is not a paper figure: it drives
-// every structure purely through the public OrderedMap interface —
-// inserts, lookups, lazy iteration, navigation and order statistics — to
-// compare the full ordered-map surface across backends. The "hotpath"
-// experiment tracks the repo's own perf trajectory (insert/lookup/scan
-// ns/op and allocs/op on every layout x rebalance corner); the "lookup"
-// experiment tracks the read path specifically (point-get, miss-get,
-// GetBatch and seek-then-scan over a layout x size matrix); the "shards"
-// experiment tracks the concurrent serving layer (aggregate put/batched
-// put/get/merged-scan throughput over a goroutines x shard-count
-// matrix, capped by -shardmax). With -json FILE -label NAME both append
-// a machine-readable snapshot to the checked-in BENCH_hotpath.json.
+// Experiments: the entries of exp.Figures (fig01a fig01b fig01c fig10
+// fig11a fig11b fig12 fig13a fig13b fig14), or "all". Output is TSV with
+// one block per figure; the series names match the paper's legends.
+// Shapes (who wins, by what factor, where crossovers fall) are the
+// reproduction target, not absolute numbers: the paper ran 2^30
+// elements on a dual-socket Xeon (PAPER.md). Timing of the serving
+// stack lives in bench/ (bench/README.md).
 package main
 
 import (
@@ -29,46 +20,10 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
+	"slices"
 	"time"
 
 	"rma/internal/exp"
-)
-
-var experiments = map[string]func(exp.Params){
-	"fig01a":     exp.Fig01a,
-	"fig01b":     exp.Fig01b,
-	"fig01c":     exp.Fig01c,
-	"fig10":      exp.Fig10,
-	"fig11a":     exp.Fig11a,
-	"fig11b":     exp.Fig11b,
-	"fig12":      exp.Fig12,
-	"fig13a":     exp.Fig13a,
-	"fig13b":     exp.Fig13b,
-	"fig14":      exp.Fig14,
-	"backends":   backends,
-	"hotpath":    hotpath,
-	"lookup":     lookup,
-	"shards":     shards,
-	"putasync":   putasync,
-	"durability": durability,
-	"serve":      serve,
-}
-
-// Trajectory flags (hotpath and shards): where to append the JSON
-// snapshot, plus the shards matrix cap.
-var (
-	jsonPath  = flag.String("json", "", "hotpath/shards: append a snapshot to this JSON trajectory file")
-	jsonLabel = flag.String("label", "dev", "hotpath/shards: label for the JSON snapshot")
-	shardMax  = flag.Int("shardmax", 8, "shards: largest shard count in the sweep (1 = unsharded baseline only)")
-	asyncMode = flag.String("async", "both", "putasync: rebalancer modes to measure (off|on|both)")
-	// Serving flags ("serve" experiment): closed-loop pool size, per-mix
-	// measured duration, an external rmaserve to dial instead of the
-	// in-process loopback server, and the soak gate's threshold file.
-	clients    = flag.Int("clients", 4, "serve: closed-loop client pool size")
-	duration   = flag.Duration("duration", time.Second, "serve: measured duration per mix")
-	serveAddr  = flag.String("serveaddr", "", "serve: dial this rmaserve address instead of serving in-process")
-	thresholds = flag.String("thresholds", "", "serve: enforce this SERVE_THRESHOLDS.json file (exit 1 on violation)")
 )
 
 func main() {
@@ -79,6 +34,20 @@ func main() {
 		out  = flag.String("out", "", "output file (default stdout)")
 	)
 	flag.Parse()
+
+	figs := exp.Figures
+	if *name != "all" {
+		i := slices.IndexFunc(figs, func(f exp.Figure) bool { return f.Name == *name })
+		if i < 0 {
+			fmt.Fprintf(os.Stderr, "rmabench: unknown experiment %q (have:", *name)
+			for _, f := range exp.Figures {
+				fmt.Fprintf(os.Stderr, " %s", f.Name)
+			}
+			fmt.Fprintln(os.Stderr, ")")
+			os.Exit(2)
+		}
+		figs = figs[i : i+1]
+	}
 
 	var w io.Writer = os.Stdout
 	if *out != "" {
@@ -91,30 +60,10 @@ func main() {
 		w = f
 	}
 
-	p := exp.Params{N: *n, Seed: *seed, Out: w,
-		Clients: *clients, Duration: *duration, ServeAddr: *serveAddr}
-
-	var names []string
-	if *name == "all" {
-		for k := range experiments {
-			names = append(names, k)
-		}
-		sort.Strings(names)
-	} else {
-		if _, ok := experiments[*name]; !ok {
-			fmt.Fprintf(os.Stderr, "rmabench: unknown experiment %q (have:", *name)
-			for k := range experiments {
-				fmt.Fprintf(os.Stderr, " %s", k)
-			}
-			fmt.Fprintln(os.Stderr, ")")
-			os.Exit(2)
-		}
-		names = []string{*name}
-	}
-
-	for _, k := range names {
+	p := exp.Params{N: *n, Seed: *seed, Out: w}
+	for _, f := range figs {
 		t0 := time.Now()
-		experiments[k](p)
-		fmt.Fprintf(w, "# %s completed in %v (N=%d, seed=%d)\n\n", k, time.Since(t0).Round(time.Millisecond), p.N, p.Seed)
+		f.Run(p)
+		fmt.Fprintf(w, "# %s completed in %v (N=%d, seed=%d)\n\n", f.Name, time.Since(t0).Round(time.Millisecond), p.N, p.Seed)
 	}
 }

@@ -1,6 +1,6 @@
 // Command rmaserve exposes an rma.Sharded store over the RESP (Redis)
-// protocol so stock Redis clients — and this repo's own loadgen — can
-// drive the engine over a network. The command surface, the pipelined
+// protocol so stock Redis clients — and this repo's bench/ harness —
+// can drive the engine over a network. The command surface, the pipelined
 // batching semantics, and the per-command consistency guarantees are
 // documented in SERVING.md.
 //

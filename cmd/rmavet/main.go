@@ -1,8 +1,8 @@
 // Command rmavet machine-checks the contracts this repo otherwise only
 // states in prose: the shard lock discipline (lockcheck), the
-// steady-state allocation-free hot paths (noalloc), the confinement and
-// page lifecycle of unsafe virtual memory (unsafecheck), and the
-// BENCH_hotpath.json schema (benchguard). See STATIC_ANALYSIS.md.
+// steady-state allocation-free hot paths (noalloc), and the confinement
+// and page lifecycle of unsafe virtual memory (unsafecheck). See
+// STATIC_ANALYSIS.md.
 //
 // Usage:
 //
@@ -31,7 +31,6 @@ import (
 	"strconv"
 	"strings"
 
-	"rma/internal/analyzers/benchguard"
 	"rma/internal/analyzers/lockcheck"
 	"rma/internal/analyzers/noalloc"
 	"rma/internal/analyzers/rig"
@@ -42,7 +41,6 @@ var suite = []*rig.Analyzer{
 	lockcheck.Analyzer,
 	noalloc.Analyzer,
 	unsafecheck.Analyzer,
-	benchguard.Analyzer,
 }
 
 func main() {

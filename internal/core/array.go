@@ -377,8 +377,8 @@ func (a *Array) applyCards(lo int, targets []int) {
 
 // setSegMin records that segment seg's minimum changed to min, updating
 // the separator of seg and of any empty segments immediately to its left
-// (whose separators point at the nearest non-empty segment on their
-// right — see DESIGN.md on empty-segment separators).
+// (whose separators copy the nearest non-empty segment on their right,
+// so the separators stay non-decreasing for the index descent).
 func (a *Array) setSegMin(seg int, min int64) {
 	if seg > 0 {
 		a.ix.Update(seg, min)

@@ -42,7 +42,8 @@ type Config struct {
 	Phi float64
 }
 
-// DefaultConfig returns the defaults recorded in DESIGN.md.
+// DefaultConfig returns the default tuning: the paper's Alpha and Phi,
+// an 8-entry timestamp queue, counters saturating at 8, and ThetaSC 3.
 func DefaultConfig() Config {
 	return Config{QueueLen: 8, SC: 8, ThetaSC: 3, Alpha: 0.999, Phi: 0.75}
 }
@@ -194,12 +195,11 @@ func (d *Detector) RecordDelete(seg int, now uint64) {
 // caller must consume it before calling Marks again. Steady-state mark
 // processing is allocation-free (see PERFORMANCE.md).
 //
-// The percentile cutoff follows the paper with one robustness fix
-// (documented in DESIGN.md): the cutoff rank is
-// K = max(ceil((1-Alpha)*|T|), ceil(Phi*QueueLen)), so that on small
-// windows — where the top 0.1% of |T| timestamps is less than one entry —
-// a segment holding the most recent Phi*QueueLen updates can still be
-// recognized as hammered.
+// The percentile cutoff follows the paper with one robustness fix: the
+// cutoff rank is K = max(ceil((1-Alpha)*|T|), ceil(Phi*QueueLen)), so
+// that on small windows — where the top 0.1% of |T| timestamps is less
+// than one entry — a segment holding the most recent Phi*QueueLen
+// updates can still be recognized as hammered.
 //
 // Mark processing runs inside the adaptive rebalance hot path: after
 // the scratch warms up it is allocation-free.

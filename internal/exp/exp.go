@@ -5,7 +5,8 @@
 // The paper runs 2^30 elements on a dual-socket Xeon; the harness defaults
 // to 2^20 so a full reproduction finishes in minutes. Shapes (who wins, by
 // what factor, where crossovers fall) are the reproduction target —
-// absolute numbers are not, as documented in EXPERIMENTS.md.
+// absolute numbers are not, since scale and hardware differ from the
+// paper's (PAPER.md).
 package exp
 
 import (
@@ -26,27 +27,28 @@ type Params struct {
 	N    int       // final cardinality (paper: 1G = 2^30)
 	Seed uint64    // base RNG seed
 	Out  io.Writer // results sink (TSV)
-	// ShardMax caps the shard counts the "shards" experiment sweeps
-	// (0 means the full matrix up to 8). Setting it to 1 records the
-	// unsharded serving baseline on its own.
-	ShardMax int
-	// Async selects which rebalancer modes the "putasync" experiment
-	// measures: "off" (synchronous only), "on" (background only), or
-	// "both" (the default when empty).
-	Async string
-	// Duration bounds each mix of the "serve" experiment's measured
-	// phase (0 = 1s per mix); Clients sizes its closed-loop pool
-	// (0 = 4). ServeAddr points the serve experiment at an externally
-	// running rmaserve instead of the in-process loopback server —
-	// the soak path (empty = in-process).
-	Duration  time.Duration
-	Clients   int
-	ServeAddr string
 }
 
-// DefaultParams returns laptop-scale defaults.
-func DefaultParams(out io.Writer) Params {
-	return Params{N: 1 << 20, Seed: 42, Out: out}
+// Figure is one runner of the paper's evaluation, named after the figure
+// (and panel) it reproduces.
+type Figure struct {
+	Name string
+	Run  func(Params)
+}
+
+// Figures lists every figure runner in the paper's order. It is the one
+// list rmabench selects from and the smoke test covers.
+var Figures = []Figure{
+	{"fig01a", Fig01a},
+	{"fig01b", Fig01b},
+	{"fig01c", Fig01c},
+	{"fig10", Fig10},
+	{"fig11a", Fig11a},
+	{"fig11b", Fig11b},
+	{"fig12", Fig12},
+	{"fig13a", Fig13a},
+	{"fig13b", Fig13b},
+	{"fig14", Fig14},
 }
 
 func (p Params) printf(format string, args ...any) {
@@ -147,7 +149,9 @@ func RMAConfig(b int) core.Config {
 }
 
 // RelatedWorkConfigs returns the TPMA configuration stand-ins for the
-// prior PMA implementations of Fig 1a (see DESIGN.md, "Substitutions").
+// prior PMA implementations of Fig 1a: each is the baseline TPMA with
+// other density thresholds or a fixed segment size, not the original
+// code.
 func RelatedWorkConfigs() []struct {
 	Name string
 	Cfg  core.Config

@@ -16,29 +16,16 @@ func tiny() (Params, *bytes.Buffer) {
 
 // Every figure runner must execute end-to-end and print its series.
 func TestFigureRunnersSmoke(t *testing.T) {
-	runners := map[string]func(Params){
-		"fig01a": Fig01a,
-		"fig01b": Fig01b,
-		"fig01c": Fig01c,
-		"fig10":  Fig10,
-		"fig11a": Fig11a,
-		"fig11b": Fig11b,
-		"fig12":  Fig12,
-		"fig13a": Fig13a,
-		"fig13b": Fig13b,
-		"fig14":  Fig14,
-	}
-	for name, run := range runners {
-		name, run := name, run
-		t.Run(name, func(t *testing.T) {
+	for _, f := range Figures {
+		t.Run(f.Name, func(t *testing.T) {
 			p, buf := tiny()
-			run(p)
+			f.Run(p)
 			out := buf.String()
 			if !strings.Contains(out, "## Fig") {
-				t.Fatalf("%s printed no header:\n%s", name, out)
+				t.Fatalf("%s printed no header:\n%s", f.Name, out)
 			}
 			if len(strings.Split(out, "\n")) < 4 {
-				t.Fatalf("%s printed too little:\n%s", name, out)
+				t.Fatalf("%s printed too little:\n%s", f.Name, out)
 			}
 		})
 	}

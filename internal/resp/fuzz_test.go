@@ -15,7 +15,7 @@ import (
 //     limit checks is a finding;
 //   - commands that parse re-encode (Writer.Command-style) to bytes
 //     that parse back to the same arguments — the round trip the
-//     server and the loadgen client rely on;
+//     server and the bench client rely on;
 //   - after any error the reader stays inert (subsequent reads error
 //     too or hit EOF, never panic).
 func FuzzRESPParse(f *testing.F) {

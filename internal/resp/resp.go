@@ -8,8 +8,7 @@
 // parses pipelined commands without per-command allocations; the Writer
 // formats integers into a fixed scratch buffer through strconv's append
 // forms. The same Reader also parses replies (ReadReply), so the
-// loadgen client and the differential tests reuse this package from the
-// other end of the wire.
+// differential tests reuse this package from the other end of the wire.
 //
 // Two request syntaxes are accepted, exactly like Redis:
 //
@@ -79,12 +78,6 @@ type Reader struct {
 func NewReader(r io.Reader) *Reader {
 	return &Reader{br: bufio.NewReaderSize(r, 64<<10)}
 }
-
-// Buffered returns the number of bytes already read off the wire and
-// waiting to be parsed — the server's pipelining signal: more buffered
-// bytes mean more commands can coalesce into the current batch before
-// anything is flushed.
-func (r *Reader) Buffered() int { return r.br.Buffered() }
 
 // readLine reads up to CRLF (LF accepted, as in Redis), returning the
 // line without its terminator.
@@ -376,7 +369,7 @@ func (r *Reader) ReadReply() (Reply, error) {
 
 // --- writer -------------------------------------------------------------------
 
-// Writer formats RESP replies (and commands — the loadgen client emits
+// Writer formats RESP replies (and commands — the bench client emits
 // command arrays through the same methods) into a buffered stream.
 // Nothing reaches the wire until Flush. Not safe for concurrent use.
 type Writer struct {

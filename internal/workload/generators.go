@@ -1,7 +1,5 @@
 package workload
 
-import "sort"
-
 // Generator produces a stream of 8-byte keys according to some
 // distribution. All implementations in this package are deterministic for
 // a given seed.
@@ -110,28 +108,6 @@ func Keys(g Generator, n int) []int64 {
 	return out
 }
 
-// Pair is a key/value element, the 16-byte tuple of the evaluation.
-type Pair struct {
-	Key, Val int64
-}
-
-// Pairs draws n key/value pairs from g; the value is a cheap mix of the
-// key so correctness checks can recompute it.
-func Pairs(g Generator, n int) []Pair {
-	out := make([]Pair, n)
-	for i := range out {
-		k := g.Next()
-		out[i] = Pair{Key: k, Val: ValueFor(k)}
-	}
-	return out
-}
-
 // ValueFor derives the payload value carried alongside key k. Tests use it
 // to verify that scans return the value that was inserted with each key.
 func ValueFor(k int64) int64 { return k ^ 0x5bd1e995 }
-
-// SortPairs sorts pairs by key (stable order for equal keys), as bulk
-// loading requires sorted batches.
-func SortPairs(ps []Pair) {
-	sort.SliceStable(ps, func(i, j int) bool { return ps[i].Key < ps[j].Key })
-}

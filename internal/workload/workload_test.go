@@ -204,25 +204,6 @@ func TestPatternsAreDeterministic(t *testing.T) {
 	}
 }
 
-func TestPairsCarryDerivableValues(t *testing.T) {
-	ps := Pairs(NewUniform(4, 0), 100)
-	for _, p := range ps {
-		if p.Val != ValueFor(p.Key) {
-			t.Fatalf("value mismatch for key %d", p.Key)
-		}
-	}
-}
-
-func TestSortPairs(t *testing.T) {
-	ps := Pairs(NewUniform(8, 1000), 500)
-	SortPairs(ps)
-	for i := 1; i < len(ps); i++ {
-		if ps[i-1].Key > ps[i].Key {
-			t.Fatalf("not sorted at %d", i)
-		}
-	}
-}
-
 func TestMul64MatchesBigMultiplication(t *testing.T) {
 	f := func(a, b uint64) bool {
 		hi, lo := mul64(a, b)

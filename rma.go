@@ -71,7 +71,7 @@
 // them: ABTree (tuned (a,b)-tree), ARTTree (ART-indexed tree), Dense
 // (sorted column) and StaticIndexed (sorted column routed by the
 // pointer-free static index) — as does the concurrent Sharded serving
-// layer. Benchmarks, examples and cmd/rmabench drive any backend
+// layer. Benchmarks, examples and tests drive any backend
 // interchangeably through the interface.
 package rma
 

@@ -282,10 +282,9 @@ func (s *Sharded) FootprintBytes() int64 { return s.m.FootprintBytes() }
 func (s *Sharded) Stats() Stats { return s.m.Stats() }
 
 // ServeStats is the serving-layer snapshot: the operation counters
-// plus the load diagnostics a front end or soak harness reports in one
-// call — cardinality, shard fan-out, deferred-maintenance backlog and
-// physical footprint. rmaserve's STATS command and the rmabench serve
-// harness both emit it.
+// plus the load diagnostics a front end reports in one call —
+// cardinality, shard fan-out, deferred-maintenance backlog and
+// physical footprint. rmaserve's STATS command emits it.
 type ServeStats struct {
 	Stats
 	// Size is the stored element count (per-shard consistent, like
