@@ -1,9 +1,13 @@
 package resp
 
 import (
+	"bufio"
 	"bytes"
 	"io"
+	"math"
+	"strconv"
 	"testing"
+	"testing/iotest"
 )
 
 // FuzzRESPParse throws arbitrary bytes at both parser entry points.
@@ -17,7 +21,10 @@ import (
 //     that parse back to the same arguments — the round trip the
 //     server and the bench client rely on;
 //   - after any error the reader stays inert (subsequent reads error
-//     too or hit EOF, never panic).
+//     too or hit EOF, never panic);
+//   - the in-place bulk scanner and the checked path agree: the stream
+//     fed whole and fed one byte per Read parse to the same commands,
+//     replies and errors.
 func FuzzRESPParse(f *testing.F) {
 	f.Add([]byte("*3\r\n$3\r\nSET\r\n$1\r\n7\r\n$2\r\n14\r\n"))
 	f.Add([]byte("*1\r\n$4\r\nPING\r\n*2\r\n$3\r\nGET\r\n$1\r\n5\r\n"))
@@ -71,6 +78,13 @@ func FuzzRESPParse(f *testing.F) {
 				t.Fatalf("reply bulk of %d bytes > MaxBulk", len(rep.Bulk))
 			}
 		}
+
+		for _, replies := range []bool{false, true} {
+			fast := transcript(bytes.NewReader(data), replies)
+			if slow := transcript(iotest.OneByteReader(bytes.NewReader(data)), replies); slow != fast {
+				t.Fatalf("replies=%v: fed whole %q, one byte per Read %q", replies, fast, slow)
+			}
+		}
 	})
 }
 
@@ -109,4 +123,53 @@ func roundTrip(t *testing.T, cmd [][]byte) {
 			t.Fatalf("round trip arg %d: %q != %q", i, got[i], want[i])
 		}
 	}
+}
+
+// FuzzIntCodec pins the integer codec to strconv, its specification:
+//
+//   - ParseInt accepts exactly what strconv.ParseInt(s, 10, 64) accepts,
+//     with the same value, on arbitrary bytes;
+//   - BulkInt, Int and ArrayHeader emit exactly the bytes a
+//     strconv-built reference spells, both into the usual 64 KiB
+//     buffer and into one so small that every emit meets a flush.
+func FuzzIntCodec(f *testing.F) {
+	for _, s := range []string{
+		"-9223372036854775808", "9223372036854775807", "9223372036854775808",
+		"-9223372036854775809", "99999999", "100000000", "100000001",
+		"10000000000000000", "1234567890123456789", "12345678901234567890",
+		"18446744073709551617", "92233720368547758080", "5741663663022785017506",
+		"00000000000000000000042", "-0000000000000000000009223372036854775808",
+		"0", "-0", "+0", "-", "+", "", "+-1", "12345/78", "1234567:", "1234+678",
+		"/0000000", "::::::::", "1234567890123456/89",
+	} {
+		v, _ := strconv.ParseInt(s, 10, 64)
+		f.Add([]byte(s), v)
+	}
+	for _, n := range []int64{math.MinInt64, math.MaxInt64, 1e8 - 1, 1e8, 1e8 + 1, 1e16, -1e16, 9, 10, 99, 100} {
+		f.Add([]byte(strconv.FormatInt(n, 10)), n)
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte, n int64) {
+		got, ok := ParseInt(data)
+		want, err := strconv.ParseInt(string(data), 10, 64)
+		if ok != (err == nil) || ok && got != want {
+			t.Fatalf("ParseInt(%q) = %d,%v; strconv says %d,%v", data, got, ok, want, err)
+		}
+
+		s := strconv.FormatInt(n, 10)
+		ref := "$" + strconv.Itoa(len(s)) + "\r\n" + s + "\r\n:" + s + "\r\n*" + strconv.Itoa(int(n)) + "\r\n"
+		for _, size := range []int{64 << 10, 40} {
+			var buf bytes.Buffer
+			w := &Writer{bw: bufio.NewWriterSize(&buf, size)}
+			w.BulkInt(n)
+			w.Int(n)
+			w.ArrayHeader(int(n))
+			if err := w.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if buf.String() != ref {
+				t.Fatalf("emit of %d with a %d-byte buffer:\n got %q\nwant %q", n, size, buf.String(), ref)
+			}
+		}
+	})
 }

@@ -3,9 +3,12 @@ package resp
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
+	"math"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 func readOne(t *testing.T, in string) [][]byte {
@@ -91,12 +94,18 @@ func TestParseInt(t *testing.T) {
 		"9223372036854775807":  1<<63 - 1,
 		"-9223372036854775808": -1 << 63,
 	}
+	good["00000000000000000000042"] = 42 // 20+ digits take the checked loop
 	for in, want := range good {
 		if got, ok := ParseInt([]byte(in)); !ok || got != want {
 			t.Errorf("ParseInt(%q) = %d,%v want %d,true", in, got, ok, want)
 		}
 	}
-	for _, in := range []string{"", "-", "+", "12x", "9223372036854775808", "99999999999999999999"} {
+	for _, in := range []string{
+		"", "-", "+", "12x", "9223372036854775808", "99999999999999999999",
+		// Each wraps uint64 if the overflow check trails the multiply.
+		"18446744073709551617", "92233720368547758080", "5741663663022785017506",
+		"1234567/", "12345678:", "123+4567",
+	} {
 		if _, ok := ParseInt([]byte(in)); ok {
 			t.Errorf("ParseInt(%q) accepted, want reject", in)
 		}
@@ -196,5 +205,168 @@ func TestReaderReuseNoAllocsSteadyState(t *testing.T) {
 func TestErrorsAreNotProtocol(t *testing.T) {
 	if IsProtocol(io.EOF) || IsProtocol(errors.New("x")) {
 		t.Fatal("IsProtocol misclassifies plain errors")
+	}
+}
+
+// transcript parses everything in in, once as commands and once as
+// replies, and spells each result and the final error.
+func transcript(in io.Reader, replies bool) string {
+	var out strings.Builder
+	r := NewReader(in)
+	for {
+		if replies {
+			rep, err := r.ReadReply()
+			if err != nil {
+				fmt.Fprintf(&out, "err %v\n", err)
+				return out.String()
+			}
+			fmt.Fprintf(&out, "%d %d %d %q\n", rep.Kind, rep.Int, rep.N, rep.Bulk)
+			continue
+		}
+		cmd, err := r.ReadCommand()
+		if err != nil {
+			fmt.Fprintf(&out, "err %v\n", err)
+			return out.String()
+		}
+		fmt.Fprintf(&out, "%q\n", cmd)
+	}
+}
+
+// The in-place bulk scanner runs when bufio holds whole elements; fed
+// one byte per Read, or half a request at a time, the reader takes the
+// checked path instead. Both must yield the same commands, replies and
+// errors.
+func TestFastAndCheckedPathsAgree(t *testing.T) {
+	var pipe bytes.Buffer
+	w := NewWriter(&pipe)
+	for i := int64(0); i < 64; i++ {
+		w.Command("SET", i<<40, -i)
+		w.Command("MSET", i, i*3, math.MaxInt64-i, math.MinInt64+i)
+		w.Command("DEL", i, i<<40, math.MinInt64)
+	}
+	w.Flush()
+
+	// Pad with GETs until one bulk straddles the 64 KiB buffer edge.
+	var edge bytes.Buffer
+	w = NewWriter(&edge)
+	for edge.Len()+w.bw.Buffered() < 64<<10-40 {
+		w.Command("GET", 1234567890123456789)
+	}
+	w.ArrayHeader(2)
+	w.BulkString("ECHO")
+	w.BulkBytes(bytes.Repeat([]byte("x"), 100))
+	w.Flush()
+
+	var big bytes.Buffer
+	w = NewWriter(&big)
+	w.ArrayHeader(2)
+	w.BulkString("ECHO")
+	w.BulkBytes(bytes.Repeat([]byte("y"), 100<<10))
+	w.Command("GET", 7)
+	w.Flush()
+
+	streams := map[string]string{
+		"scan reply":    string(scanReply(1024)),
+		"pipeline":      pipe.String(),
+		"buffer edge":   edge.String(),
+		"over 64 KiB":   big.String(),
+		"null":          "*2\r\n$3\r\nGET\r\n$-1\r\n$-1\r\n",
+		"bad length":    "*2\r\n$3\r\nGET\r\n$1x\r\n7\r\n",
+		"missing CRLF":  "*2\r\n$3\r\nGET\r\n$1\r\n7XX*1\r\n$4\r\nPING\r\n",
+		"bad CR":        "*2\r\n$3\r\nGET\r\n$1\r\n7X\n",
+		"LF-only":       "*1\n$4\nPING\n$2\nab\n",
+		"length zeroes": "*01\r\n$0004\r\nPING\r\n$+2\r\nab\r\n",
+	}
+	for name, s := range streams {
+		for _, replies := range []bool{false, true} {
+			want := transcript(bytes.NewReader([]byte(s)), replies)
+			for rname, wrap := range map[string]func(io.Reader) io.Reader{
+				"OneByteReader": iotest.OneByteReader, "HalfReader": iotest.HalfReader,
+			} {
+				if got := transcript(wrap(strings.NewReader(s)), replies); got != want {
+					t.Errorf("%s (replies=%v) via %s differs:\n got %.300q\nwant %.300q", name, replies, rname, got, want)
+				}
+			}
+		}
+	}
+}
+
+type countingReader struct {
+	r     io.Reader
+	reads int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	c.reads++
+	return c.r.Read(p)
+}
+
+// A pipeline that is already buffered must parse without touching the
+// stream again: the server flushes replies exactly when the reader
+// would block on a refill.
+func TestBufferedPipelineReadsOnce(t *testing.T) {
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	for i := int64(0); i < 256; i++ {
+		w.Command("SET", i<<50, i)
+	}
+	w.Flush()
+	c := &countingReader{r: &buf}
+	r := NewReader(c)
+	for i := 0; i < 256; i++ {
+		if _, err := r.ReadCommand(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c2 := &countingReader{r: bytes.NewReader(scanReply(256))}
+	r2 := NewReader(c2)
+	for i := 0; i < 2*256+2; i++ {
+		if _, err := r2.ReadReply(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if c.reads != 1 || c2.reads != 1 {
+		t.Fatalf("buffered pipeline made %d and %d reads, want 1 each", c.reads, c2.reads)
+	}
+}
+
+// Integer emits never allocate, also when the buffer is nearly full and
+// must flush before the element's single append.
+func TestWriterIntNoAllocs(t *testing.T) {
+	w := NewWriter(io.Discard)
+	pad := make([]byte, 64<<10)
+	emits := map[string]func(){
+		"BulkInt":     func() { w.BulkInt(math.MinInt64) },
+		"Int":         func() { w.Int(math.MinInt64) },
+		"ArrayHeader": func() { w.ArrayHeader(math.MaxInt) },
+	}
+	for name, emit := range emits {
+		for _, free := range []int{20, 4096} {
+			allocs := testing.AllocsPerRun(100, func() {
+				w.Flush()
+				w.bw.Write(pad[:w.bw.Size()-free])
+				emit()
+			})
+			if allocs > 0 {
+				t.Errorf("%s with %d bytes free: %.1f allocs/op, want 0", name, free, allocs)
+			}
+		}
+	}
+}
+
+func TestReadReplyNoAllocsSteadyState(t *testing.T) {
+	r := NewReader(&loopReader{data: scanReply(1024)})
+	for i := 0; i < 64; i++ {
+		if _, err := r.ReadReply(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		if _, err := r.ReadReply(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 0 {
+		t.Fatalf("steady-state ReadReply allocates %.1f allocs/op, want 0", allocs)
 	}
 }

@@ -145,6 +145,26 @@ func TestServeSmoke(t *testing.T) {
 }
 
 // TestServeProtocolErrorCloses verifies a framing error gets one -ERR
+// A key past int64 is an integer error, not a wrapped key: a parser
+// that multiplies before checking overflow reads 18446744073709551617
+// as 1.
+func TestServeRejectsWrappingKey(t *testing.T) {
+	_, dial := newTestServer(t, Config{})
+	c := dial()
+	defer c.Close()
+	intErr := "-ERR value is not an integer or out of range\r\n"
+	for _, k := range []string{"18446744073709551617", "92233720368547758080"} {
+		if got := roundTrip(t, c, cmdLine("SET", k, "5"), len(intErr)); got != intErr {
+			t.Fatalf("SET %s 5: got %q, want %q", k, got, intErr)
+		}
+	}
+	for _, k := range []string{"1", "0"} {
+		if got := roundTrip(t, c, cmdLine("GET", k), len("$-1\r\n")); got != "$-1\r\n" {
+			t.Fatalf("GET %s after rejected SETs: got %q, want a null bulk", k, got)
+		}
+	}
+}
+
 // reply and a hangup (the stream is untrusted past it).
 func TestServeProtocolErrorCloses(t *testing.T) {
 	_, dial := newTestServer(t, Config{})
